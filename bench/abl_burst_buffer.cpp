@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
                 series.c_str(), result.bandwidth_mib(), result.elapsed,
                 result.total_elapsed, 100.0 * result.sync_fraction(),
                 result.stats.time[mpi::TimeCat::Drain],
-                result.sum[mpi::TimeCat::DrainWait], result.stats.bb_spills);
+                result.sum[mpi::TimeCat::DrainWait], result.stats.bb.spills);
     report.add(series, nprocs, result);
   };
 

@@ -63,15 +63,13 @@ int main(int argc, char** argv) {
                 " %8" PRIu64 " %6" PRIu64 "\n",
                 series.c_str(), result.bandwidth_mib(), result.elapsed,
                 result.sum[mpi::TimeCat::Integrity], overhead_pct,
-                result.faults.corrupt_injected, result.faults.corrupt_detected,
-                result.faults.corrupt_repaired, result.faults.scrub_repairs);
+                result.faults.corrupt_injected, result.integrity.detected,
+                result.integrity.repaired, result.integrity.scrub_repairs);
     report.add(series, nprocs, result,
-               {{"detected",
-                 static_cast<double>(result.faults.corrupt_detected)},
-                {"repaired",
-                 static_cast<double>(result.faults.corrupt_repaired)},
+               {{"detected", static_cast<double>(result.integrity.detected)},
+                {"repaired", static_cast<double>(result.integrity.repaired)},
                 {"scrub_repairs",
-                 static_cast<double>(result.faults.scrub_repairs)},
+                 static_cast<double>(result.integrity.scrub_repairs)},
                 {"checksum_overhead_pct", overhead_pct}});
     if (result.file_digest != base.file_digest) {
       digests_ok = false;

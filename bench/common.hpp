@@ -96,12 +96,12 @@ class BenchReport {
         .set("elapsed_s", result.elapsed)
         .set("sync_fraction", result.sync_fraction())
         .set("result", workloads::run_result_json(result));
-    if (result.stats.bb_staged_segments > 0 || result.stats.bb_spills > 0) {
+    if (result.stats.bb.staged_segments > 0 || result.stats.bb.spills > 0) {
       // Burst-buffer runs carry the write-behind trend signal too.
       point.set("durable_elapsed_s", result.total_elapsed)
           .set("drain_s", result.stats.time[mpi::TimeCat::Drain])
           .set("drain_wait_s", result.sum[mpi::TimeCat::DrainWait])
-          .set("bb_spills", result.stats.bb_spills);
+          .set("bb_spills", result.stats.bb.spills);
     }
     if (result.metrics) {
       // Tail-latency trend signal (virtual-time, so deterministic): the

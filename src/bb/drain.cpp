@@ -132,14 +132,13 @@ void DrainScheduler::write_segment(int node) {
   if (auto* integ = world.integrity()) {
     double seconds = 0.0;
     if (!seg.data.empty()) {
-      seconds = integ->verify_buffer(seg.client, store_.fs_id_, seg.extents,
-                                     seg.data.data());
+      seconds =
+          integ->verify_buffer(store_.fs_id_, seg.extents, seg.data.data());
     } else if (seg.corrupted) {
       // Phantom arenas keep no bytes; account the detection by draw.
-      fault::FaultCounters& mine = world.fault_state().of(seg.client);
-      ++mine.corrupt_detected;
+      integ->note_detected();
       if (integ->config().level == fs::IntegrityLevel::Repair) {
-        ++mine.corrupt_repaired;
+        integ->note_repaired();
       } else {
         integ->record_error(store_.fs_id_, seg.extents.front().offset,
                             seg.extents.front().length);
@@ -156,7 +155,7 @@ void DrainScheduler::write_segment(int node) {
   const fs::IoResult result =
       world.fs().write(client, store_.fs_id_, seg.extents,
                        seg.data.empty() ? nullptr : seg.data.data());
-  const fault::FaultCounters after = world.fault_state().of(client);
+  const fault::FaultCounters faults = world.fault_state().of(client) - before;
   const double end = engine.now();
 
   store_.drain_time_.seconds[static_cast<std::size_t>(mpi::TimeCat::Drain)] +=
@@ -164,8 +163,8 @@ void DrainScheduler::write_segment(int node) {
   store_.drain_time_
       .seconds[static_cast<std::size_t>(mpi::TimeCat::Faulted)] +=
       result.faulted_seconds;
-  store_.counters_.drain_retries += after.retries - before.retries;
-  store_.counters_.drain_failovers += after.failovers - before.failovers;
+  store_.counters_.drain_retries += faults.retries;
+  store_.counters_.drain_failovers += faults.failovers;
   ++store_.counters_.drained_segments;
   store_.counters_.drained_bytes += seg.bytes;
   if (tracer != nullptr) {
@@ -175,9 +174,8 @@ void DrainScheduler::write_segment(int node) {
   if (auto* metrics = world.metrics()) {
     ++metrics->counter("bb.drains");
     metrics->counter("bb.drained_bytes") += seg.bytes;
-    metrics->counter("bb.drain.retries") += after.retries - before.retries;
-    metrics->counter("bb.drain.failovers") +=
-        after.failovers - before.failovers;
+    metrics->counter("bb.drain.retries") += faults.retries;
+    metrics->counter("bb.drain.failovers") += faults.failovers;
     metrics->quantile("bb.drain_seconds").observe(end - begin);
   }
 

@@ -2,6 +2,7 @@
 
 #include "bb/drain.hpp"
 #include "mpi/trace.hpp"
+#include "obs/fields.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 
@@ -210,26 +211,12 @@ void StagingStore::note_conflict_flush() {
   }
 }
 
-BbCounters StagingStore::harvest_counters() {
-  BbCounters delta;
-  delta.staged_segments =
-      counters_.staged_segments - harvested_counters_.staged_segments;
-  delta.staged_bytes = counters_.staged_bytes - harvested_counters_.staged_bytes;
-  delta.drained_segments =
-      counters_.drained_segments - harvested_counters_.drained_segments;
-  delta.drained_bytes =
-      counters_.drained_bytes - harvested_counters_.drained_bytes;
-  delta.spills = counters_.spills - harvested_counters_.spills;
-  delta.spill_bytes = counters_.spill_bytes - harvested_counters_.spill_bytes;
-  delta.conflict_flushes =
-      counters_.conflict_flushes - harvested_counters_.conflict_flushes;
-  delta.drain_retries =
-      counters_.drain_retries - harvested_counters_.drain_retries;
-  delta.drain_failovers =
-      counters_.drain_failovers - harvested_counters_.drain_failovers;
-  harvested_counters_ = counters_;
-  return delta;
+BbCounters& BbCounters::operator+=(const BbCounters& other) {
+  obs::add_fields(*this, other);
+  return *this;
 }
+
+obs::JsonValue BbCounters::json() const { return obs::fields_json(*this); }
 
 mpi::TimeBreakdown StagingStore::harvest_drain_time() {
   mpi::TimeBreakdown delta;

@@ -35,9 +35,13 @@
 #include "mpi/runtime.hpp"
 #include "sim/engine.hpp"
 
+namespace parcoll::obs {
+class JsonValue;
+}
+
 namespace parcoll::bb {
 
-/// Lifetime event counters, reported in FileStats / metrics.
+/// Lifetime event counters of one store, reported in FileStats / metrics.
 struct BbCounters {
   std::uint64_t staged_segments = 0;
   std::uint64_t staged_bytes = 0;
@@ -51,6 +55,23 @@ struct BbCounters {
   /// Degraded-mode events during drain writes (fault plan installed).
   std::uint64_t drain_retries = 0;
   std::uint64_t drain_failovers = 0;
+
+  /// The field list, written out once: += and json() visit it.
+  template <typename Visit>
+  static constexpr void fields(Visit&& visit) {
+    visit("staged_segments", &BbCounters::staged_segments);
+    visit("staged_bytes", &BbCounters::staged_bytes);
+    visit("drained_segments", &BbCounters::drained_segments);
+    visit("drained_bytes", &BbCounters::drained_bytes);
+    visit("spills", &BbCounters::spills);
+    visit("spill_bytes", &BbCounters::spill_bytes);
+    visit("conflict_flushes", &BbCounters::conflict_flushes);
+    visit("drain_retries", &BbCounters::drain_retries);
+    visit("drain_failovers", &BbCounters::drain_failovers);
+  }
+
+  BbCounters& operator+=(const BbCounters& other);
+  [[nodiscard]] obs::JsonValue json() const;
 };
 
 class DrainScheduler;
@@ -91,16 +112,13 @@ class StagingStore {
 
   [[nodiscard]] bool idle() const;
   [[nodiscard]] std::uint64_t pending_bytes() const;
+  /// Lifetime counters. The store lives as long as the file's FileCommon
+  /// (both interned per (context, fs_id) for the World's lifetime), so
+  /// close assigns them to the file stats as they are.
   [[nodiscard]] const BbCounters& counters() const { return counters_; }
-  /// Drain-fiber time, summed: Drain (hidden fs writes) and Faulted
-  /// (degraded-mode retries during drains). Merged into FileStats at close.
-  [[nodiscard]] const mpi::TimeBreakdown& drain_time() const {
-    return drain_time_;
-  }
-  /// Counters / drain time accumulated since the previous harvest. The
-  /// store outlives file handles (shared_object), so close-time stats
-  /// merging takes deltas to stay correct across repeated open/close.
-  [[nodiscard]] BbCounters harvest_counters();
+  /// Drain-fiber time (Drain: hidden fs writes; Faulted: degraded-mode
+  /// retries during drains) accumulated since the previous harvest. The
+  /// file stats' time sums every operation, so close merges deltas.
   [[nodiscard]] mpi::TimeBreakdown harvest_drain_time();
   [[nodiscard]] const BbConfig& config() const { return config_; }
   [[nodiscard]] mpi::World& world() { return world_; }
@@ -151,7 +169,6 @@ class StagingStore {
   std::unique_ptr<DrainScheduler> sched_;
   BbCounters counters_;
   mpi::TimeBreakdown drain_time_;
-  BbCounters harvested_counters_;
   mpi::TimeBreakdown harvested_time_;
   int foreground_ = 0;
   int flush_waiters_ = 0;

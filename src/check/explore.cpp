@@ -121,6 +121,7 @@ ScheduleOutcome run_schedule(const CheckConfig& config,
     outcome.digest = result.file_digest;
     outcome.verified = result.verified;
     outcome.faults = result.faults;
+    outcome.integrity = result.integrity;
   } catch (const sim::DeadlockError& error) {
     outcome.deadlock = true;
     outcome.error = error.what();
@@ -456,7 +457,7 @@ ExploreStats corruption_selftest() {
            unprotected.token);
     expect(unprotected.faults.corrupt_injected > 0, "selftest-unprotected",
            "fault plan injected no corruption", unprotected.token);
-    expect(unprotected.faults.corrupt_detected == 0, "selftest-unprotected",
+    expect(unprotected.integrity.detected == 0, "selftest-unprotected",
            "corruption was detected with checksums off", unprotected.token);
     expect(!unprotected.completed ||
                unprotected.digest != reference.digest || !unprotected.verified,
@@ -483,7 +484,7 @@ ExploreStats corruption_selftest() {
            protected_run.token);
     expect(protected_run.faults.corrupt_injected > 0, "selftest-repair",
            "fault plan injected no corruption", protected_run.token);
-    expect(protected_run.faults.corrupt_detected > 0, "selftest-repair",
+    expect(protected_run.integrity.detected > 0, "selftest-repair",
            "no injected corruption was detected", protected_run.token);
     expect(!protected_run.completed ||
                (protected_run.digest == reference.digest &&

@@ -61,6 +61,7 @@ struct ScheduleOutcome {
   std::uint64_t invariant_checks = 0;
   std::vector<Violation> violations;
   fault::FaultCounters faults;
+  fs::IntegrityCounters integrity;
 };
 
 /// Run `config` once under `policy`. Never throws: deadlocks and protocol

@@ -367,19 +367,6 @@ CollectiveOutcome run_partitioned(mpiio::FileHandle& file,
                                &file.engine_cache());
 }
 
-/// Attribute this rank's degraded-mode events during one collective call
-/// to the call's stats delta. Valid because a rank's counters only change
-/// while its own fiber runs.
-void record_fault_delta(mpiio::FileStats& delta,
-                        const fault::FaultCounters& before,
-                        const fault::FaultCounters& after) {
-  delta.fault_retries = after.retries - before.retries;
-  delta.fault_failovers = after.failovers - before.failovers;
-  delta.fault_drops = after.drops - before.drops;
-  delta.fault_reelections = after.reelections - before.reelections;
-  delta.fault_stalls = after.stalls - before.stalls;
-}
-
 /// Collective error agreement at the end of a collective call (integrity
 /// on only): reduce the highest-priority pending unrecoverable-corruption
 /// word over the call's communicator; a nonzero maximum makes every rank
@@ -415,8 +402,8 @@ CollectiveOutcome write_at_all(mpiio::FileHandle& file, std::uint64_t offset,
   // Checksum the payload where it enters the pipeline: from here the block
   // records ride alongside the data through staging, exchange, and drains.
   if (auto* integ = file.self().world().integrity()) {
-    const double seconds = integ->register_write(
-        file.self().rank(), file.fs_id(), prep.extents, prep.data());
+    const double seconds =
+        integ->register_write(file.fs_id(), prep.extents, prep.data());
     if (seconds > 0) file.self().busy(mpi::TimeCat::Integrity, seconds);
   }
   const CollectiveOutcome outcome = run_partitioned(file, prep, true);
@@ -424,8 +411,10 @@ CollectiveOutcome write_at_all(mpiio::FileHandle& file, std::uint64_t offset,
 
   mpiio::FileStats delta;
   delta.time = mpiio::FileHandle::time_delta(before, file.time_snapshot());
-  record_fault_delta(delta, faults_before,
-                     file.self().world().fault_counters(file.self().rank()));
+  // A rank's fault counters only change while its own fiber runs, so the
+  // difference is this call's degraded-mode events.
+  delta.faults =
+      file.self().world().fault_counters(file.self().rank()) - faults_before;
   delta.bytes_written = outcome.bytes;
   delta.exchange_cycles = outcome.cycles;
   delta.rmw_reads = outcome.rmw_reads;
@@ -463,7 +452,7 @@ CollectiveOutcome read_at_all(mpiio::FileHandle& file, std::uint64_t offset,
       bb->flush_overlapping(file.self(), prep.extents);
     }
     const double seconds =
-        integ->verify_ranges(file.self().rank(), file.fs_id(), prep.extents,
+        integ->verify_ranges(file.fs_id(), prep.extents,
                              file.self().world().fs().store());
     if (seconds > 0) file.self().busy(mpi::TimeCat::Integrity, seconds);
   }
@@ -473,8 +462,8 @@ CollectiveOutcome read_at_all(mpiio::FileHandle& file, std::uint64_t offset,
 
   mpiio::FileStats delta;
   delta.time = mpiio::FileHandle::time_delta(before, file.time_snapshot());
-  record_fault_delta(delta, faults_before,
-                     file.self().world().fault_counters(file.self().rank()));
+  delta.faults =
+      file.self().world().fault_counters(file.self().rank()) - faults_before;
   delta.bytes_read = outcome.bytes;
   delta.exchange_cycles = outcome.cycles;
   delta.rmw_reads = outcome.rmw_reads;

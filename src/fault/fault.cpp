@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/fields.hpp"
 #include "sim/random.hpp"
 
 namespace parcoll::fault {
@@ -270,19 +271,17 @@ std::string FaultPlan::describe() const {
 }
 
 FaultCounters& FaultCounters::operator+=(const FaultCounters& other) {
-  retries += other.retries;
-  failovers += other.failovers;
-  drops += other.drops;
-  delays += other.delays;
-  reelections += other.reelections;
-  stalls += other.stalls;
-  corrupt_injected += other.corrupt_injected;
-  corrupt_detected += other.corrupt_detected;
-  corrupt_repaired += other.corrupt_repaired;
-  scrub_repairs += other.scrub_repairs;
-  faulted_seconds += other.faulted_seconds;
+  obs::add_fields(*this, other);
   return *this;
 }
+
+FaultCounters FaultCounters::operator-(const FaultCounters& before) const {
+  FaultCounters delta = *this;
+  obs::subtract_fields(delta, before);
+  return delta;
+}
+
+obs::JsonValue FaultCounters::json() const { return obs::fields_json(*this); }
 
 FaultCounters& FaultState::of(int client) {
   const auto index = static_cast<std::size_t>(client < 0 ? 0 : client);

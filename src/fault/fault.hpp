@@ -22,6 +22,10 @@
 #include <string>
 #include <vector>
 
+namespace parcoll::obs {
+class JsonValue;
+}
+
 namespace parcoll::fault {
 
 /// OST `ost` serves nothing in [begin, end): RPCs arriving inside the
@@ -147,7 +151,8 @@ struct FaultPlan {
 
 /// Degraded-mode event counters. Kept per client/rank so a rank can
 /// snapshot-and-diff its own counters around an operation without seeing
-/// other ranks' interleaved activity.
+/// other ranks' interleaved activity. Corruption detections and repairs
+/// are the checksum pipeline's to count (fs::IntegrityCounters).
 struct FaultCounters {
   std::uint64_t retries = 0;      // RPC attempts that timed out and were resent
   std::uint64_t failovers = 0;    // RPCs redirected to a surviving OST
@@ -156,16 +161,27 @@ struct FaultCounters {
   std::uint64_t reelections = 0;  // aggregators replaced by their subgroup
   std::uint64_t stalls = 0;       // rank stall events applied
   std::uint64_t corrupt_injected = 0;  // silent corruption events planted
-  std::uint64_t corrupt_detected = 0;  // corruptions caught by a checksum
-  std::uint64_t corrupt_repaired = 0;  // corruptions healed in place
-  std::uint64_t scrub_repairs = 0;     // repairs made by the scrubber
   double faulted_seconds = 0.0;   // virtual time lost to timeouts/backoff
 
+  /// The field list, written out once: +=, -, json() visit it.
+  template <typename Visit>
+  static constexpr void fields(Visit&& visit) {
+    visit("retries", &FaultCounters::retries);
+    visit("failovers", &FaultCounters::failovers);
+    visit("drops", &FaultCounters::drops);
+    visit("delays", &FaultCounters::delays);
+    visit("reelections", &FaultCounters::reelections);
+    visit("stalls", &FaultCounters::stalls);
+    visit("corrupt_injected", &FaultCounters::corrupt_injected);
+    visit("faulted_seconds", &FaultCounters::faulted_seconds);
+  }
+
   FaultCounters& operator+=(const FaultCounters& other);
+  [[nodiscard]] FaultCounters operator-(const FaultCounters& before) const;
+  [[nodiscard]] obs::JsonValue json() const;
   [[nodiscard]] bool any() const {
     return retries || failovers || drops || delays || reelections || stalls ||
-           corrupt_injected || corrupt_detected || corrupt_repaired ||
-           scrub_repairs;
+           corrupt_injected;
   }
 };
 

@@ -4,6 +4,8 @@
 #include <array>
 #include <cstring>
 
+#include "obs/fields.hpp"
+
 namespace parcoll::fs {
 
 namespace {
@@ -66,9 +68,8 @@ CollectiveIoError::CollectiveIoError(int fs_id_in, std::uint64_t offset_in,
       offset(offset_in),
       length(length_in) {}
 
-IntegrityManager::IntegrityManager(IntegrityConfig config,
-                                   fault::FaultState* faults)
-    : config_(config), faults_(faults) {}
+IntegrityManager::IntegrityManager(IntegrityConfig config)
+    : config_(config) {}
 
 void IntegrityManager::erase_range(FileMap& map, std::uint64_t lo,
                                    std::uint64_t hi) {
@@ -118,7 +119,7 @@ void IntegrityManager::erase_range(FileMap& map, std::uint64_t lo,
   }
 }
 
-double IntegrityManager::register_write(int client, int fs_id,
+double IntegrityManager::register_write(int fs_id,
                                         std::span<const Extent> extents,
                                         const std::byte* data) {
   FileMap& map = files_[fs_id];
@@ -149,36 +150,28 @@ double IntegrityManager::register_write(int client, int fs_id,
     total += extent.length;
   }
   counters_.bytes_checksummed += total;
-  (void)client;
   return static_cast<double>(total) / config_.checksum_bw;
 }
 
 template <typename Heal>
-bool IntegrityManager::check_record(int client, int fs_id,
-                                    std::uint64_t offset,
+bool IntegrityManager::check_record(int fs_id, std::uint64_t offset,
                                     const Record& record,
                                     const std::byte* actual, bool by_scrubber,
                                     Heal&& heal) {
   if (record.phantom || actual == nullptr) return true;
   if (crc32c(actual, record.length) == record.crc) return true;
-  fault::FaultCounters& mine = faults_->of(client);
-  ++mine.corrupt_detected;
   ++counters_.detected;
   if (config_.level == IntegrityLevel::Repair && !record.replica.empty()) {
     heal(record.replica);
-    ++mine.corrupt_repaired;
     ++counters_.repaired;
-    if (by_scrubber) {
-      ++mine.scrub_repairs;
-      ++counters_.scrub_repairs;
-    }
+    if (by_scrubber) ++counters_.scrub_repairs;
     return true;
   }
   record_error(fs_id, offset, record.length);
   return false;
 }
 
-double IntegrityManager::verify_buffer(int client, int fs_id,
+double IntegrityManager::verify_buffer(int fs_id,
                                        std::span<const Extent> extents,
                                        std::byte* data) {
   const auto found = files_.find(fs_id);
@@ -195,7 +188,7 @@ double IntegrityManager::verify_buffer(int client, int fs_id,
       // already on the OST), so its audit waits for the store-side passes.
       const std::uint64_t at = pos + (it->first - extent.offset);
       std::byte* actual = data == nullptr ? nullptr : data + at;
-      check_record(client, fs_id, it->first, it->second, actual,
+      check_record(fs_id, it->first, it->second, actual,
                    /*by_scrubber=*/false, [&](const std::vector<std::byte>& r) {
                      std::memcpy(actual, r.data(), r.size());
                    });
@@ -206,7 +199,7 @@ double IntegrityManager::verify_buffer(int client, int fs_id,
   return static_cast<double>(scanned) / config_.checksum_bw;
 }
 
-double IntegrityManager::verify_ranges(int client, int fs_id,
+double IntegrityManager::verify_ranges(int fs_id,
                                        std::span<const Extent> extents,
                                        ObjectStore& store) {
   const auto found = files_.find(fs_id);
@@ -226,7 +219,7 @@ double IntegrityManager::verify_ranges(int client, int fs_id,
       if (record.phantom) continue;
       actual.resize(record.length);
       store.read(fs_id, it->first, actual.data(), record.length);
-      check_record(client, fs_id, it->first, record, actual.data(),
+      check_record(fs_id, it->first, record, actual.data(),
                    /*by_scrubber=*/false, [&](const std::vector<std::byte>& r) {
                      store.write(fs_id, it->first, r.data(), r.size());
                    });
@@ -236,8 +229,7 @@ double IntegrityManager::verify_ranges(int client, int fs_id,
   return static_cast<double>(scanned) / config_.checksum_bw;
 }
 
-double IntegrityManager::scrub_all(int client, ObjectStore& store,
-                                   bool by_scrubber) {
+double IntegrityManager::scrub_all(ObjectStore& store, bool by_scrubber) {
   std::uint64_t scanned = 0;
   std::vector<std::byte> actual;
   for (auto& [fs_id, map] : files_) {
@@ -248,7 +240,7 @@ double IntegrityManager::scrub_all(int client, ObjectStore& store,
       if (record.phantom || record.landed < record.length) continue;
       actual.resize(record.length);
       store.read(fs_id, offset, actual.data(), record.length);
-      check_record(client, fs_id, offset, record, actual.data(), by_scrubber,
+      check_record(fs_id, offset, record, actual.data(), by_scrubber,
                    [&, off = offset](const std::vector<std::byte>& r) {
                      store.write(fs_id, off, r.data(), r.size());
                    });
@@ -310,16 +302,26 @@ CollectiveIoError IntegrityManager::error_of(std::uint64_t word) const {
 }
 
 IntegrityCounters IntegrityManager::harvest() {
-  IntegrityCounters delta;
-  delta.blocks = counters_.blocks - harvested_.blocks;
-  delta.bytes_checksummed =
-      counters_.bytes_checksummed - harvested_.bytes_checksummed;
-  delta.detected = counters_.detected - harvested_.detected;
-  delta.repaired = counters_.repaired - harvested_.repaired;
-  delta.scrub_repairs = counters_.scrub_repairs - harvested_.scrub_repairs;
-  delta.errors = counters_.errors - harvested_.errors;
+  const IntegrityCounters delta = counters_ - harvested_;
   harvested_ = counters_;
   return delta;
+}
+
+IntegrityCounters& IntegrityCounters::operator+=(
+    const IntegrityCounters& other) {
+  obs::add_fields(*this, other);
+  return *this;
+}
+
+IntegrityCounters IntegrityCounters::operator-(
+    const IntegrityCounters& before) const {
+  IntegrityCounters delta = *this;
+  obs::subtract_fields(delta, before);
+  return delta;
+}
+
+obs::JsonValue IntegrityCounters::json() const {
+  return obs::fields_json(*this);
 }
 
 }  // namespace parcoll::fs

@@ -12,11 +12,11 @@
 // and the pending error is surfaced through a collective error-reduction
 // so every rank of the communicator throws the identical CollectiveIoError.
 //
-// Like LustreSim, this layer knows nothing about MPI: callers are integer
-// client ids and every method returns the seconds of checksum work it
-// modeled, for the caller to charge (TimeCat::Integrity). With the level
-// Off no manager is ever constructed, so the disabled path stays
-// bit-identical to a build without the integrity layer.
+// Like LustreSim, this layer knows nothing about MPI: every method
+// returns the seconds of checksum work it modeled, for the caller to
+// charge (TimeCat::Integrity). With the level Off no manager is ever
+// constructed, so the disabled path stays bit-identical to a build
+// without the integrity layer.
 #pragma once
 
 #include <cstddef>
@@ -28,9 +28,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fault/fault.hpp"
 #include "fs/object_store.hpp"
 #include "fs/stripe.hpp"
+
+namespace parcoll::obs {
+class JsonValue;
+}
 
 namespace parcoll::fs {
 
@@ -64,8 +67,8 @@ struct IntegrityConfig {
   bool operator==(const IntegrityConfig&) const = default;
 };
 
-/// Checksum-pipeline totals (world-global; FaultCounters carries the
-/// per-client injected/detected/repaired view).
+/// Checksum-pipeline totals (world-global): every detection and repair
+/// the pipeline makes is counted here and nowhere else.
 struct IntegrityCounters {
   std::uint64_t blocks = 0;
   std::uint64_t bytes_checksummed = 0;
@@ -73,6 +76,22 @@ struct IntegrityCounters {
   std::uint64_t repaired = 0;
   std::uint64_t scrub_repairs = 0;
   std::uint64_t errors = 0;  // unrecoverable, pending collective agreement
+
+  /// The field list, written out once: +=, -, json() visit it.
+  template <typename Visit>
+  static constexpr void fields(Visit&& visit) {
+    visit("blocks", &IntegrityCounters::blocks);
+    visit("bytes_checksummed", &IntegrityCounters::bytes_checksummed);
+    visit("detected", &IntegrityCounters::detected);
+    visit("repaired", &IntegrityCounters::repaired);
+    visit("scrub_repairs", &IntegrityCounters::scrub_repairs);
+    visit("errors", &IntegrityCounters::errors);
+  }
+
+  IntegrityCounters& operator+=(const IntegrityCounters& other);
+  [[nodiscard]] IntegrityCounters operator-(
+      const IntegrityCounters& before) const;
+  [[nodiscard]] obs::JsonValue json() const;
 };
 
 /// The error every rank of the communicator throws after the collective
@@ -88,7 +107,7 @@ class CollectiveIoError : public std::runtime_error {
 
 class IntegrityManager {
  public:
-  IntegrityManager(IntegrityConfig config, fault::FaultState* faults);
+  explicit IntegrityManager(IntegrityConfig config);
 
   [[nodiscard]] const IntegrityConfig& config() const { return config_; }
 
@@ -96,18 +115,18 @@ class IntegrityManager {
   /// write. `data` is the extents' concatenated payload; nullptr (phantom
   /// mode) registers coverage and models cost without bytes. Returns the
   /// modeled checksum seconds for the caller to charge.
-  double register_write(int client, int fs_id, std::span<const Extent> extents,
+  double register_write(int fs_id, std::span<const Extent> extents,
                         const std::byte* data);
 
   /// Verify an in-memory buffer (a bb staging segment about to drain)
   /// against the records fully contained in `extents`; heals the buffer in
   /// place at Repair level. `data` is the concatenated payload.
-  double verify_buffer(int client, int fs_id, std::span<const Extent> extents,
+  double verify_buffer(int fs_id, std::span<const Extent> extents,
                        std::byte* data);
 
   /// Verify the stored bytes of every record overlapping `extents`
   /// (client-on-read / OST ingest audit); heals the store at Repair level.
-  double verify_ranges(int client, int fs_id, std::span<const Extent> extents,
+  double verify_ranges(int fs_id, std::span<const Extent> extents,
                        ObjectStore& store);
 
   /// Verify every record of every registered file (the scrubber's walk and
@@ -116,7 +135,7 @@ class IntegrityManager {
   /// yet (registered at collective entry, still staged or in flight) are
   /// skipped — auditing them against the store would "detect" every
   /// pending block.
-  double scrub_all(int client, ObjectStore& store, bool by_scrubber);
+  double scrub_all(ObjectStore& store, bool by_scrubber);
 
   /// LustreSim calls this when a write piece commits to the object store:
   /// records fully covered by landed bytes become scrubbable.
@@ -125,12 +144,13 @@ class IntegrityManager {
   /// Record an unrecoverable corruption, pending collective agreement.
   void record_error(int fs_id, std::uint64_t offset, std::uint64_t length);
 
-  /// Wire-level pipeline outcomes: the OST ingest checksum (LustreSim)
-  /// rejected a corrupted RPC payload / a retransmit delivered the clean
-  /// bytes. Folded into the same counters as store-audit outcomes so the
-  /// close-time harvest sees every detection the pipeline made.
-  void note_wire_detected() { ++counters_.detected; }
-  void note_wire_repaired() { ++counters_.repaired; }
+  /// Outcomes decided outside a byte audit: the OST ingest checksum
+  /// (LustreSim) rejected a corrupted RPC payload / a retransmit or the
+  /// replica delivered the clean bytes, or a phantom bb segment's decay
+  /// draw fired (no bytes to checksum). Folded into the same counters as
+  /// store-audit outcomes so every detection is counted once, here.
+  void note_detected() { ++counters_.detected; }
+  void note_repaired() { ++counters_.repaired; }
 
   /// Nonzero word encoding the highest-priority pending error (0 = none);
   /// ranks agree via allreduce_max over this word.
@@ -160,12 +180,10 @@ class IntegrityManager {
   /// true when the bytes now match the record (clean or healed). `heal`
   /// writes the replica back through the callback on repair.
   template <typename Heal>
-  bool check_record(int client, int fs_id, std::uint64_t offset,
-                    const Record& record, const std::byte* actual,
-                    bool by_scrubber, Heal&& heal);
+  bool check_record(int fs_id, std::uint64_t offset, const Record& record,
+                    const std::byte* actual, bool by_scrubber, Heal&& heal);
 
   IntegrityConfig config_;
-  fault::FaultState* faults_;
   std::unordered_map<int, FileMap> files_;
   std::vector<CollectiveIoError> errors_;
   IntegrityCounters counters_;

@@ -218,7 +218,7 @@ Tracer& World::enable_tracing() {
 fs::IntegrityManager& World::enable_integrity(
     const fs::IntegrityConfig& config) {
   if (!integrity_) {
-    integrity_ = std::make_unique<fs::IntegrityManager>(config, &fault_state_);
+    integrity_ = std::make_unique<fs::IntegrityManager>(config);
     fs_->set_integrity(integrity_.get());
   }
   return *integrity_;
@@ -236,7 +236,7 @@ void World::schedule_scrub(double at) {
                                      "scrub", begin);
       }
       const double seconds =
-          integrity_->scrub_all(client, fs_->store(), /*by_scrubber=*/true);
+          integrity_->scrub_all(fs_->store(), /*by_scrubber=*/true);
       if (seconds > 0) engine_.sleep(seconds);
       if (tracer_ != nullptr) {
         tracer_->spans().close(stream, span, engine_.now());

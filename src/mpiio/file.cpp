@@ -6,7 +6,6 @@
 #include "bb/staging.hpp"
 #include "dtype/pack.hpp"
 #include "fs/integrity.hpp"
-#include "obs/metrics.hpp"
 #include "mpi/collectives.hpp"
 #include "mpiio/ext2ph.hpp"
 
@@ -231,9 +230,8 @@ void FileHandle::write_at(std::uint64_t offset, const void* buffer,
   const auto before = time_snapshot();
   PreparedRequest request = prepare_write(offset, buffer, count, memtype);
   if (auto* integ = self_.world().integrity()) {
-    const double seconds = integ->register_write(self_.rank(), fs_id(),
-                                                 request.extents,
-                                                 request.data());
+    const double seconds =
+        integ->register_write(fs_id(), request.extents, request.data());
     if (seconds > 0) self_.busy(mpi::TimeCat::Integrity, seconds);
   }
   // Independent writes go straight to the filesystem; overlapping staged
@@ -275,8 +273,8 @@ void FileHandle::read_at(std::uint64_t offset, void* buffer,
   // corruption under these extents is healed (Repair) or recorded (Detect)
   // before the bytes are returned.
   if (auto* integ = self_.world().integrity()) {
-    const double seconds = integ->verify_ranges(
-        self_.rank(), fs_id(), request.extents, self_.world().fs().store());
+    const double seconds = integ->verify_ranges(fs_id(), request.extents,
+                                                self_.world().fs().store());
     if (seconds > 0) self_.busy(mpi::TimeCat::Integrity, seconds);
   }
   DirectTarget target(self_.world().fs(), fs_id());
@@ -303,20 +301,11 @@ void FileHandle::close() {
     mpi::barrier(self_, common_->comm);
     common_->bb->flush_all(self_);
     if (common_->comm.local_rank(self_.rank()) == 0) {
-      // One rank folds the store's hidden drain time and event counters
-      // into the file stats (deltas: the store outlives handles).
-      FileStats delta;
-      delta.time = common_->bb->harvest_drain_time();
-      const bb::BbCounters counters = common_->bb->harvest_counters();
-      delta.bb_staged_segments = counters.staged_segments;
-      delta.bb_staged_bytes = counters.staged_bytes;
-      delta.bb_drained_bytes = counters.drained_bytes;
-      delta.bb_spills = counters.spills;
-      delta.bb_spill_bytes = counters.spill_bytes;
-      delta.bb_conflict_flushes = counters.conflict_flushes;
-      delta.bb_drain_retries = counters.drain_retries;
-      delta.bb_drain_failovers = counters.drain_failovers;
-      add_stats(delta);
+      // One rank folds the store's hidden drain time into the file stats
+      // and takes its counters: the store and this FileCommon share one
+      // (context, fs_id) key and lifetime, so its counters are the file's.
+      common_->stats.time += common_->bb->harvest_drain_time();
+      common_->stats.bb = common_->bb->counters();
     }
   }
   if (auto* integ = self_.world().integrity()) {
@@ -326,26 +315,10 @@ void FileHandle::close() {
     // folds the pipeline counters into the file stats.
     mpi::barrier(self_, common_->comm);
     if (common_->comm.local_rank(self_.rank()) == 0) {
-      const double seconds = integ->scrub_all(
-          self_.rank(), self_.world().fs().store(), /*by_scrubber=*/false);
+      const double seconds =
+          integ->scrub_all(self_.world().fs().store(), /*by_scrubber=*/false);
       if (seconds > 0) self_.busy(mpi::TimeCat::Integrity, seconds);
-      const fs::IntegrityCounters harvest = integ->harvest();
-      FileStats delta;
-      delta.integrity_blocks = harvest.blocks;
-      delta.integrity_bytes = harvest.bytes_checksummed;
-      delta.corrupt_detected = harvest.detected;
-      delta.corrupt_repaired = harvest.repaired;
-      delta.scrub_repairs = harvest.scrub_repairs;
-      delta.integrity_errors = harvest.errors;
-      add_stats(delta);
-      if (auto* metrics = self_.world().metrics()) {
-        metrics->counter("integrity.blocks") += harvest.blocks;
-        metrics->counter("integrity.bytes") += harvest.bytes_checksummed;
-        metrics->counter("integrity.detected") += harvest.detected;
-        metrics->counter("integrity.repaired") += harvest.repaired;
-        metrics->counter("integrity.scrub_repairs") += harvest.scrub_repairs;
-        metrics->counter("integrity.errors") += harvest.errors;
-      }
+      common_->stats.integrity += integ->harvest();
     }
     // Collective error agreement: recovery-exhausted extents surface as
     // the identical CollectiveIoError on every rank, or on none.

@@ -3,43 +3,19 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/fields.hpp"
+#include "obs/run_export.hpp"
+
 namespace parcoll::mpiio {
 
 FileStats& FileStats::operator+=(const FileStats& other) {
   time += other.time;
-  bytes_written += other.bytes_written;
-  bytes_read += other.bytes_read;
-  collective_writes += other.collective_writes;
-  collective_reads += other.collective_reads;
-  independent_writes += other.independent_writes;
-  independent_reads += other.independent_reads;
-  exchange_cycles += other.exchange_cycles;
-  rmw_reads += other.rmw_reads;
-  parcoll_calls += other.parcoll_calls;
-  intranode_calls += other.intranode_calls;
-  intranode_bytes += other.intranode_bytes;
-  view_switches += other.view_switches;
+  obs::add_fields(*this, other);
   last_num_groups = other.last_num_groups ? other.last_num_groups
                                           : last_num_groups;
-  fault_retries += other.fault_retries;
-  fault_failovers += other.fault_failovers;
-  fault_drops += other.fault_drops;
-  fault_reelections += other.fault_reelections;
-  fault_stalls += other.fault_stalls;
-  bb_staged_segments += other.bb_staged_segments;
-  bb_staged_bytes += other.bb_staged_bytes;
-  bb_drained_bytes += other.bb_drained_bytes;
-  bb_spills += other.bb_spills;
-  bb_spill_bytes += other.bb_spill_bytes;
-  bb_conflict_flushes += other.bb_conflict_flushes;
-  bb_drain_retries += other.bb_drain_retries;
-  bb_drain_failovers += other.bb_drain_failovers;
-  integrity_blocks += other.integrity_blocks;
-  integrity_bytes += other.integrity_bytes;
-  corrupt_detected += other.corrupt_detected;
-  corrupt_repaired += other.corrupt_repaired;
-  scrub_repairs += other.scrub_repairs;
-  integrity_errors += other.integrity_errors;
+  faults += other.faults;
+  bb += other.bb;
+  integrity += other.integrity;
   return *this;
 }
 
@@ -73,29 +49,40 @@ std::string FileStats::summary(const std::string& name) const {
     os << "\n  intra:  calls=" << intranode_calls
        << " bytes=" << intranode_bytes << "B";
   }
-  if (fault_retries || fault_failovers || fault_drops || fault_reelections ||
-      fault_stalls) {
-    os << "\n  faults: retries=" << fault_retries
-       << " failovers=" << fault_failovers << " drops=" << fault_drops
-       << " reelections=" << fault_reelections
-       << " stalls=" << fault_stalls;
+  if (faults.retries || faults.failovers || faults.drops ||
+      faults.reelections || faults.stalls) {
+    os << "\n  faults: retries=" << faults.retries
+       << " failovers=" << faults.failovers << " drops=" << faults.drops
+       << " reelections=" << faults.reelections
+       << " stalls=" << faults.stalls;
   }
-  if (bb_staged_segments || bb_spills) {
-    os << "\n  bb:     staged=" << bb_staged_segments << " ("
-       << bb_staged_bytes << "B) drained=" << bb_drained_bytes
-       << "B spills=" << bb_spills << " (" << bb_spill_bytes
-       << "B) conflict_flushes=" << bb_conflict_flushes
-       << " drain_retries=" << bb_drain_retries
-       << " drain_failovers=" << bb_drain_failovers;
+  if (bb.staged_segments || bb.spills) {
+    os << "\n  bb:     staged=" << bb.staged_segments << " ("
+       << bb.staged_bytes << "B) drained=" << bb.drained_bytes
+       << "B spills=" << bb.spills << " (" << bb.spill_bytes
+       << "B) conflict_flushes=" << bb.conflict_flushes
+       << " drain_retries=" << bb.drain_retries
+       << " drain_failovers=" << bb.drain_failovers;
   }
-  if (integrity_blocks || corrupt_detected || integrity_errors) {
-    os << "\n  integrity: blocks=" << integrity_blocks << " ("
-       << integrity_bytes << "B) detected=" << corrupt_detected
-       << " repaired=" << corrupt_repaired
-       << " scrub_repairs=" << scrub_repairs
-       << " errors=" << integrity_errors;
+  if (integrity.blocks || integrity.detected || integrity.errors) {
+    os << "\n  integrity: blocks=" << integrity.blocks << " ("
+       << integrity.bytes_checksummed << "B) detected=" << integrity.detected
+       << " repaired=" << integrity.repaired
+       << " scrub_repairs=" << integrity.scrub_repairs
+       << " errors=" << integrity.errors;
   }
   return os.str();
+}
+
+obs::JsonValue FileStats::json() const {
+  obs::JsonValue doc = obs::JsonValue::object();
+  doc.set("time", obs::time_breakdown_json(time));
+  fields([&](const char* name, auto member) { doc.set(name, this->*member); });
+  doc.set("last_num_groups", last_num_groups);
+  doc.set("faults", faults.json());
+  doc.set("bb", bb.json());
+  doc.set("integrity", integrity.json());
+  return doc;
 }
 
 std::ostream& operator<<(std::ostream& os, const FileStats& stats) {

@@ -7,7 +7,14 @@
 #include <iosfwd>
 #include <string>
 
+#include "bb/staging.hpp"
+#include "fault/fault.hpp"
+#include "fs/integrity.hpp"
 #include "mpi/timecat.hpp"
+
+namespace parcoll::obs {
+class JsonValue;
+}
 
 namespace parcoll::mpiio {
 
@@ -35,36 +42,43 @@ struct FileStats {
   std::uint64_t view_switches = 0;
   /// Subgroups used by the most recent ParColl call.
   int last_num_groups = 0;
-  /// Degraded-mode events observed during this file's operations (all zero
-  /// unless a fault plan is installed).
-  std::uint64_t fault_retries = 0;
-  std::uint64_t fault_failovers = 0;
-  std::uint64_t fault_drops = 0;
-  std::uint64_t fault_reelections = 0;
-  std::uint64_t fault_stalls = 0;
-  /// Burst-buffer staging activity (all zero unless bb=enable): merged from
-  /// the node-local StagingStore at close by the file's first rank.
-  std::uint64_t bb_staged_segments = 0;
-  std::uint64_t bb_staged_bytes = 0;
-  std::uint64_t bb_drained_bytes = 0;
-  std::uint64_t bb_spills = 0;
-  std::uint64_t bb_spill_bytes = 0;
-  std::uint64_t bb_conflict_flushes = 0;
-  std::uint64_t bb_drain_retries = 0;
-  std::uint64_t bb_drain_failovers = 0;
+  /// Degraded-mode events of the ranks during this file's collective calls
+  /// (per-call deltas; all zero unless a fault plan is installed).
+  fault::FaultCounters faults;
+  /// Burst-buffer staging activity (all zero unless bb=enable): the
+  /// StagingStore's lifetime counters, taken at close by the first rank.
+  bb::BbCounters bb;
   /// Checksum-pipeline activity (all zero unless the integrity hint is on):
-  /// merged from the IntegrityManager at close by the file's first rank.
-  std::uint64_t integrity_blocks = 0;
-  std::uint64_t integrity_bytes = 0;
-  std::uint64_t corrupt_detected = 0;
-  std::uint64_t corrupt_repaired = 0;
-  std::uint64_t scrub_repairs = 0;
-  std::uint64_t integrity_errors = 0;
+  /// harvested from the IntegrityManager at close by the file's first rank.
+  fs::IntegrityCounters integrity;
+
+  /// The plain counter fields, written out once: += and json() visit them
+  /// (time, last_num_groups and the embedded structs merge by their own
+  /// rules).
+  template <typename Visit>
+  static constexpr void fields(Visit&& visit) {
+    visit("bytes_written", &FileStats::bytes_written);
+    visit("bytes_read", &FileStats::bytes_read);
+    visit("collective_writes", &FileStats::collective_writes);
+    visit("collective_reads", &FileStats::collective_reads);
+    visit("independent_writes", &FileStats::independent_writes);
+    visit("independent_reads", &FileStats::independent_reads);
+    visit("exchange_cycles", &FileStats::exchange_cycles);
+    visit("rmw_reads", &FileStats::rmw_reads);
+    visit("parcoll_calls", &FileStats::parcoll_calls);
+    visit("intranode_calls", &FileStats::intranode_calls);
+    visit("intranode_bytes", &FileStats::intranode_bytes);
+    visit("view_switches", &FileStats::view_switches);
+  }
 
   FileStats& operator+=(const FileStats& other);
 
   /// The close-time summary (single line per category plus counters).
   [[nodiscard]] std::string summary(const std::string& name) const;
+
+  /// The "stats" object of a parcoll-run document: time, the plain
+  /// counters, last_num_groups, then "faults", "bb" and "integrity".
+  [[nodiscard]] obs::JsonValue json() const;
 };
 
 std::ostream& operator<<(std::ostream& os, const FileStats& stats);

@@ -3,9 +3,7 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "fault/fault.hpp"
 #include "mpi/timecat.hpp"
-#include "mpiio/stats.hpp"
 #include "obs/metrics.hpp"
 
 namespace parcoll::obs {
@@ -17,60 +15,6 @@ JsonValue time_breakdown_json(const mpi::TimeBreakdown& time) {
             time.seconds[c]);
   }
   doc.set("total_s", time.total());
-  return doc;
-}
-
-JsonValue file_stats_json(const mpiio::FileStats& stats) {
-  JsonValue doc = JsonValue::object();
-  doc.set("time", time_breakdown_json(stats.time));
-  doc.set("bytes_written", stats.bytes_written);
-  doc.set("bytes_read", stats.bytes_read);
-  doc.set("collective_writes", stats.collective_writes);
-  doc.set("collective_reads", stats.collective_reads);
-  doc.set("independent_writes", stats.independent_writes);
-  doc.set("independent_reads", stats.independent_reads);
-  doc.set("exchange_cycles", stats.exchange_cycles);
-  doc.set("rmw_reads", stats.rmw_reads);
-  doc.set("parcoll_calls", stats.parcoll_calls);
-  doc.set("intranode_calls", stats.intranode_calls);
-  doc.set("intranode_bytes", stats.intranode_bytes);
-  doc.set("view_switches", stats.view_switches);
-  doc.set("last_num_groups", stats.last_num_groups);
-  doc.set("fault_retries", stats.fault_retries);
-  doc.set("fault_failovers", stats.fault_failovers);
-  doc.set("fault_drops", stats.fault_drops);
-  doc.set("fault_reelections", stats.fault_reelections);
-  doc.set("fault_stalls", stats.fault_stalls);
-  doc.set("bb_staged_segments", stats.bb_staged_segments);
-  doc.set("bb_staged_bytes", stats.bb_staged_bytes);
-  doc.set("bb_drained_bytes", stats.bb_drained_bytes);
-  doc.set("bb_spills", stats.bb_spills);
-  doc.set("bb_spill_bytes", stats.bb_spill_bytes);
-  doc.set("bb_conflict_flushes", stats.bb_conflict_flushes);
-  doc.set("bb_drain_retries", stats.bb_drain_retries);
-  doc.set("bb_drain_failovers", stats.bb_drain_failovers);
-  doc.set("integrity_blocks", stats.integrity_blocks);
-  doc.set("integrity_bytes", stats.integrity_bytes);
-  doc.set("corrupt_detected", stats.corrupt_detected);
-  doc.set("corrupt_repaired", stats.corrupt_repaired);
-  doc.set("scrub_repairs", stats.scrub_repairs);
-  doc.set("integrity_errors", stats.integrity_errors);
-  return doc;
-}
-
-JsonValue fault_counters_json(const fault::FaultCounters& faults) {
-  JsonValue doc = JsonValue::object();
-  doc.set("retries", faults.retries);
-  doc.set("failovers", faults.failovers);
-  doc.set("drops", faults.drops);
-  doc.set("delays", faults.delays);
-  doc.set("reelections", faults.reelections);
-  doc.set("stalls", faults.stalls);
-  doc.set("corrupt_injected", faults.corrupt_injected);
-  doc.set("corrupt_detected", faults.corrupt_detected);
-  doc.set("corrupt_repaired", faults.corrupt_repaired);
-  doc.set("scrub_repairs", faults.scrub_repairs);
-  doc.set("faulted_seconds", faults.faulted_seconds);
   return doc;
 }
 
@@ -115,53 +59,24 @@ JsonValue metrics_json(const MetricsRegistry& metrics) {
   return doc;
 }
 
-void export_file_stats(MetricsRegistry& metrics,
-                       const mpiio::FileStats& stats) {
-  for (std::size_t c = 0; c < mpi::kNumTimeCats; ++c) {
-    metrics.gauge(std::string("stats.time.") +
-                  mpi::to_string(static_cast<mpi::TimeCat>(c)) + "_s") =
-        stats.time.seconds[c];
+void export_json(MetricsRegistry& metrics, const std::string& prefix,
+                 const JsonValue& doc) {
+  switch (doc.type()) {
+    case JsonValue::Type::Object:
+      for (const auto& [key, value] : doc.members()) {
+        export_json(metrics, prefix + "." + key, value);
+      }
+      break;
+    case JsonValue::Type::Int:
+    case JsonValue::Type::Uint:
+      metrics.counter(prefix) = doc.as_uint();
+      break;
+    case JsonValue::Type::Double:
+      metrics.gauge(prefix) = doc.as_double();
+      break;
+    default:
+      break;
   }
-  metrics.counter("stats.bytes_written") = stats.bytes_written;
-  metrics.counter("stats.bytes_read") = stats.bytes_read;
-  metrics.counter("stats.collective_writes") = stats.collective_writes;
-  metrics.counter("stats.collective_reads") = stats.collective_reads;
-  metrics.counter("stats.independent_writes") = stats.independent_writes;
-  metrics.counter("stats.independent_reads") = stats.independent_reads;
-  metrics.counter("stats.exchange_cycles") = stats.exchange_cycles;
-  metrics.counter("stats.rmw_reads") = stats.rmw_reads;
-  metrics.counter("stats.parcoll_calls") = stats.parcoll_calls;
-  metrics.counter("stats.intranode_calls") = stats.intranode_calls;
-  metrics.counter("stats.intranode_bytes") = stats.intranode_bytes;
-  metrics.counter("stats.view_switches") = stats.view_switches;
-  metrics.counter("stats.bb_staged_segments") = stats.bb_staged_segments;
-  metrics.counter("stats.bb_staged_bytes") = stats.bb_staged_bytes;
-  metrics.counter("stats.bb_drained_bytes") = stats.bb_drained_bytes;
-  metrics.counter("stats.bb_spills") = stats.bb_spills;
-  metrics.counter("stats.bb_spill_bytes") = stats.bb_spill_bytes;
-  metrics.counter("stats.integrity_blocks") = stats.integrity_blocks;
-  metrics.counter("stats.integrity_bytes") = stats.integrity_bytes;
-  metrics.counter("stats.corrupt_detected") = stats.corrupt_detected;
-  metrics.counter("stats.corrupt_repaired") = stats.corrupt_repaired;
-  metrics.counter("stats.scrub_repairs") = stats.scrub_repairs;
-  metrics.counter("stats.integrity_errors") = stats.integrity_errors;
-  metrics.gauge("stats.last_num_groups") =
-      static_cast<double>(stats.last_num_groups);
-}
-
-void export_fault_counters(MetricsRegistry& metrics,
-                           const fault::FaultCounters& faults) {
-  metrics.counter("fault.retries") = faults.retries;
-  metrics.counter("fault.failovers") = faults.failovers;
-  metrics.counter("fault.drops") = faults.drops;
-  metrics.counter("fault.delays") = faults.delays;
-  metrics.counter("fault.reelections") = faults.reelections;
-  metrics.counter("fault.stalls") = faults.stalls;
-  metrics.counter("fault.corrupt_injected") = faults.corrupt_injected;
-  metrics.counter("fault.corrupt_detected") = faults.corrupt_detected;
-  metrics.counter("fault.corrupt_repaired") = faults.corrupt_repaired;
-  metrics.counter("fault.scrub_repairs") = faults.scrub_repairs;
-  metrics.gauge("fault.faulted_seconds") = faults.faulted_seconds;
 }
 
 JsonValue run_document(const std::string& tool, JsonValue config) {

@@ -2,16 +2,16 @@
 //
 // One document per run: tool + config, the measured result (elapsed,
 // bytes, bandwidth), the per-category time breakdown, the file's
-// close-time statistics, fault counters, the metrics registry dump, and —
-// when tracing was on — the collective-wall report. The schema tag and
-// version let downstream tooling (tools/bench_to_trajectory, CI trend
-// jobs) validate documents before folding them into BENCH_*.json.
+// close-time statistics, fault and integrity counters, the metrics
+// registry dump, and — when tracing was on — the collective-wall report.
+// The schema tag and version let downstream tooling
+// (tools/bench_to_trajectory, CI trend jobs) validate documents before
+// folding them into BENCH_*.json.
 //
-// This header is also where FileStats and FaultCounters "migrate" into
-// the metrics registry: export_file_stats / export_fault_counters mirror
-// every legacy counter as a registry counter at collect time, so the
-// registry is the superset view while FileStats::summary() keeps printing
-// the exact historical text.
+// The counter objects of the document ("stats", "faults", "integrity")
+// are also mirrored into the metrics registry at collect time, by
+// flattening the very JSON the document carries (export_json), so the
+// registry keys are the document's paths and cannot drift from it.
 #pragma once
 
 #include <cstdint>
@@ -22,31 +22,24 @@
 namespace parcoll::mpi {
 struct TimeBreakdown;
 }
-namespace parcoll::mpiio {
-struct FileStats;
-}
-namespace parcoll::fault {
-struct FaultCounters;
-}
 
 namespace parcoll::obs {
 
 class MetricsRegistry;
 
 inline constexpr const char* kRunSchema = "parcoll-run";
-inline constexpr int kRunSchemaVersion = 1;
+inline constexpr int kRunSchemaVersion = 2;
 
 [[nodiscard]] JsonValue time_breakdown_json(const mpi::TimeBreakdown& time);
-[[nodiscard]] JsonValue file_stats_json(const mpiio::FileStats& stats);
-[[nodiscard]] JsonValue fault_counters_json(const fault::FaultCounters& faults);
 [[nodiscard]] JsonValue metrics_json(const MetricsRegistry& metrics);
 
-/// Mirror the legacy aggregates into the registry ("stats.*", "fault.*").
-void export_file_stats(MetricsRegistry& metrics, const mpiio::FileStats& stats);
-void export_fault_counters(MetricsRegistry& metrics,
-                           const fault::FaultCounters& faults);
+/// Mirror every numeric leaf of `doc` into the registry under its dotted
+/// path below `prefix` ("stats" + {"bb": {"spills": 3}} -> "stats.bb.spills"):
+/// integers as counters, doubles as gauges.
+void export_json(MetricsRegistry& metrics, const std::string& prefix,
+                 const JsonValue& doc);
 
-/// Envelope: {"schema": "parcoll-run", "version": 1, "tool": tool,
+/// Envelope: {"schema": "parcoll-run", "version": 2, "tool": tool,
 /// "config": config, ...} — callers then set "result", "metrics",
 /// "wall_report", ... on the returned object.
 [[nodiscard]] JsonValue run_document(const std::string& tool,

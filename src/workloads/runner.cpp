@@ -1,5 +1,8 @@
 #include "workloads/runner.hpp"
 
+#include <array>
+#include <utility>
+
 #include "fs/lustre.hpp"
 #include "obs/run_export.hpp"
 
@@ -74,6 +77,17 @@ void apply_observability(mpi::World& world, const RunSpec& spec) {
   }
 }
 
+namespace {
+/// The result's counter objects, keyed as in the run document: the
+/// document and the registry mirror are both built from this one list.
+std::array<std::pair<const char*, obs::JsonValue>, 3> counter_objects(
+    const RunResult& result) {
+  return {{{"stats", result.stats.json()},
+           {"faults", result.faults.json()},
+           {"integrity", result.integrity.json()}}};
+}
+}  // namespace
+
 RunResult collect(const mpi::World& world, const PhaseClock& clock,
                   std::uint64_t bytes, const mpiio::FileStats& stats) {
   RunResult result;
@@ -96,9 +110,13 @@ RunResult collect(const mpi::World& world, const PhaseClock& clock,
     result.trace = std::make_shared<mpi::Tracer>(*mutable_world.tracer());
   }
   result.faults = mutable_world.fault_state().total();
+  if (const auto* integrity = mutable_world.integrity()) {
+    result.integrity = integrity->counters();
+  }
   if (mutable_world.metrics() != nullptr) {
-    obs::export_file_stats(*mutable_world.metrics(), result.stats);
-    obs::export_fault_counters(*mutable_world.metrics(), result.faults);
+    for (const auto& [name, doc] : counter_objects(result)) {
+      obs::export_json(*mutable_world.metrics(), name, doc);
+    }
     result.metrics =
         std::make_shared<obs::MetricsRegistry>(*mutable_world.metrics());
   }
@@ -138,8 +156,9 @@ obs::JsonValue run_result_json(const RunResult& result) {
   engine.set("peak_rss_bytes", sim::peak_rss_bytes());
   doc.set("engine", engine);
   doc.set("time", obs::time_breakdown_json(result.sum));
-  doc.set("stats", obs::file_stats_json(result.stats));
-  doc.set("faults", obs::fault_counters_json(result.faults));
+  for (auto& [name, counters] : counter_objects(result)) {
+    doc.set(name, std::move(counters));
+  }
   if (result.metrics) {
     doc.set("metrics", obs::metrics_json(*result.metrics));
   }

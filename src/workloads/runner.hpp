@@ -8,6 +8,7 @@
 #include <string>
 
 #include "fault/fault.hpp"
+#include "fs/integrity.hpp"
 #include "machine/machine_model.hpp"
 #include "mpi/runtime.hpp"
 #include "mpi/timecat.hpp"
@@ -108,15 +109,16 @@ struct RunResult {
   std::uint64_t fs_rpcs = 0;          // RPCs served across OSTs
   std::uint64_t fs_lock_switches = 0; // DLM revocations across OSTs
   std::shared_ptr<mpi::Tracer> trace; // set when RunSpec::trace was on
-  /// Set when RunSpec::metrics was on; also mirrors FileStats ("stats.*")
-  /// and fault counters ("fault.*") at collect time.
+  /// Set when RunSpec::metrics was on; also mirrors the "stats", "faults"
+  /// and "integrity" objects of run_result_json at collect time.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   /// Set when RunSpec::sample_interval was > 0: the run's time-series
   /// telemetry snapshot (per-OST pressure, bb occupancy, per-rank time).
   std::shared_ptr<obs::TimeSeries> timeline;
   /// Rank -> job table of the run (empty when no tenant tags were set).
   std::vector<std::string> jobs;
-  fault::FaultCounters faults;        // degraded-mode events, all ranks
+  fault::FaultCounters faults;        // degraded-mode events, all clients
+  fs::IntegrityCounters integrity;    // checksum pipeline, at collect time
   std::string schedule_token;         // replay token of the executed schedule
   std::uint64_t choice_points = 0;    // equal-time ties the policy resolved
   /// MemoryStore content digest at collect time (0 for phantom stores);
@@ -169,7 +171,8 @@ RunResult collect(const mpi::World& world, const PhaseClock& clock,
                   std::uint64_t bytes, const mpiio::FileStats& stats);
 
 /// The result's "parcoll-run" JSON fragment (elapsed, bandwidth, time
-/// breakdown, file stats, fault counters, metrics dump when present).
+/// breakdown, file stats, fault and integrity counters, metrics dump when
+/// present).
 [[nodiscard]] obs::JsonValue run_result_json(const RunResult& result);
 
 }  // namespace parcoll::workloads

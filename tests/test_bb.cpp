@@ -136,8 +136,8 @@ TEST(BurstBuffer, DisabledIsBitIdenticalAndInert) {
   EXPECT_DOUBLE_EQ(off.total_elapsed, base.total_elapsed);
 
   // No staging artifacts anywhere in the off run.
-  EXPECT_EQ(base.stats.bb_staged_segments, 0u);
-  EXPECT_EQ(base.stats.bb_spills, 0u);
+  EXPECT_EQ(base.stats.bb.staged_segments, 0u);
+  EXPECT_EQ(base.stats.bb.spills, 0u);
   EXPECT_DOUBLE_EQ(base.stats.time[mpi::TimeCat::Drain], 0.0);
   EXPECT_DOUBLE_EQ(base.sum[mpi::TimeCat::DrainWait], 0.0);
   const std::string summary = base.stats.summary("tile.out");
@@ -158,7 +158,7 @@ TEST(BurstBuffer, DigestEqualAcrossWorkloads) {
     const auto on = run_tileio(config, 8, with_bb(tiny_spec()), true);
     EXPECT_TRUE(on.verified);
     EXPECT_EQ(on.file_digest, off.file_digest) << "tileio";
-    EXPECT_GT(on.stats.bb_staged_segments, 0u);
+    EXPECT_GT(on.stats.bb.staged_segments, 0u);
   }
   {
     IorConfig config;
@@ -218,10 +218,10 @@ TEST(BurstBuffer, CapacityPressureSpillsAndStaysCorrect) {
   const auto on = run_tileio(config, 8, spec, true);
   EXPECT_TRUE(on.verified);
   EXPECT_EQ(on.file_digest, off.file_digest);
-  EXPECT_GT(on.stats.bb_spills, 0u);
+  EXPECT_GT(on.stats.bb.spills, 0u);
   // Conservation: every byte the collective path produced either staged
   // (and later drained) or spilled straight to the synchronous path.
-  EXPECT_EQ(on.stats.bb_drained_bytes, on.stats.bb_staged_bytes);
+  EXPECT_EQ(on.stats.bb.drained_bytes, on.stats.bb.staged_bytes);
 }
 
 // --- drain failure replay --------------------------------------------------
@@ -241,9 +241,9 @@ TEST(BurstBuffer, DrainFailureReplaysWithoutLoss) {
   // the clean run's exact contents (no loss, no divergent double-write).
   EXPECT_EQ(faulted.file_digest, clean.file_digest);
   // The drains themselves hit the outage and replayed.
-  EXPECT_GT(faulted.stats.bb_drain_retries + faulted.stats.bb_drain_failovers,
+  EXPECT_GT(faulted.stats.bb.drain_retries + faulted.stats.bb.drain_failovers,
             0u);
-  EXPECT_EQ(faulted.stats.bb_drained_bytes, faulted.stats.bb_staged_bytes);
+  EXPECT_EQ(faulted.stats.bb.drained_bytes, faulted.stats.bb.staged_bytes);
 }
 
 // --- the point of the tier -------------------------------------------------

@@ -458,7 +458,7 @@ TEST(FaultFreePath, NeverFiringPlanMatchesSeedTimings) {
     const FaultRun hooked = run_serial(8, groups, dormant);
     expect_identical(seed, hooked);
     EXPECT_FALSE(hooked.faults.any());
-    EXPECT_EQ(hooked.stats.fault_retries, 0u);
+    EXPECT_EQ(hooked.stats.faults.retries, 0u);
     EXPECT_DOUBLE_EQ(
         hooked.times[0].seconds[static_cast<std::size_t>(
             mpi::TimeCat::Faulted)],
@@ -482,8 +482,8 @@ TEST(FaultRecovery, SingleOstOutageMidWriteCompletesCorrectly) {
     EXPECT_GT(run.faults.failovers, 0u) << "groups=" << groups;
     EXPECT_GT(run.faults.faulted_seconds, 0.0) << "groups=" << groups;
     // The recovery shows up in the file's close-time summary too.
-    EXPECT_EQ(run.stats.fault_retries, run.faults.retries);
-    EXPECT_EQ(run.stats.fault_failovers, run.faults.failovers);
+    EXPECT_EQ(run.stats.faults.retries, run.faults.retries);
+    EXPECT_EQ(run.stats.faults.failovers, run.faults.failovers);
   }
 }
 
@@ -549,7 +549,7 @@ TEST(FaultRecovery, StalledAggregatorIsReelected) {
   EXPECT_TRUE(run.read_verified);
   EXPECT_GT(run.faults.reelections, 0u);
   EXPECT_EQ(run.faults.stalls, 1u);
-  EXPECT_EQ(run.stats.fault_reelections, run.faults.reelections);
+  EXPECT_EQ(run.stats.faults.reelections, run.faults.reelections);
 }
 
 // ---------------------------------------------------------------------------

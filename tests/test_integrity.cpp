@@ -27,7 +27,9 @@
 #include "fs/object_store.hpp"
 #include "mpi/collectives.hpp"
 #include "mpiio/file.hpp"
+#include "workloads/ior.hpp"
 #include "workloads/pattern.hpp"
+#include "workloads/runner.hpp"
 
 namespace parcoll {
 namespace {
@@ -102,18 +104,16 @@ fs::IntegrityConfig tiny_config(fs::IntegrityLevel level,
 }
 
 TEST(IntegrityManager, CleanRoundTripDetectsNothing) {
-  fault::FaultState faults;
-  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Detect),
-                               &faults);
+  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Detect));
   fs::MemoryStore store;
   const auto data = pattern_bytes(300);
   const fs::Extent extents[] = {{0, 300}};
-  const double cost = manager.register_write(0, 1, extents, data.data());
+  const double cost = manager.register_write(1, extents, data.data());
   EXPECT_GT(cost, 0.0);
   store.write(1, 0, data.data(), data.size());
   manager.mark_landed(1, 0, data.size());  // the store commit reports in
-  manager.verify_ranges(0, 1, extents, store);
-  manager.scrub_all(0, store, /*by_scrubber=*/false);
+  manager.verify_ranges(1, extents, store);
+  manager.scrub_all(store, /*by_scrubber=*/false);
   EXPECT_FALSE(manager.has_error());
   EXPECT_EQ(manager.counters().detected, 0u);
   // 300 bytes at block=64 -> 5 blocks.
@@ -122,23 +122,20 @@ TEST(IntegrityManager, CleanRoundTripDetectsNothing) {
 }
 
 TEST(IntegrityManager, DetectRecordsUnrecoverableError) {
-  fault::FaultState faults;
-  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Detect),
-                               &faults);
+  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Detect));
   fs::MemoryStore store;
   const auto data = pattern_bytes(128);
   const fs::Extent extents[] = {{0, 128}};
-  manager.register_write(0, 1, extents, data.data());
+  manager.register_write(1, extents, data.data());
   auto tampered = data;
   tampered[70] ^= std::byte{0x10};  // second block
   store.write(1, 0, tampered.data(), tampered.size());
 
-  manager.verify_ranges(0, 1, extents, store);
+  manager.verify_ranges(1, extents, store);
   EXPECT_TRUE(manager.has_error());
   EXPECT_EQ(manager.counters().detected, 1u);
   EXPECT_EQ(manager.counters().repaired, 0u);
   EXPECT_EQ(manager.counters().errors, 1u);
-  EXPECT_EQ(faults.of(0).corrupt_detected, 1u);
 
   // The pending word decodes back to the failing extent.
   const std::uint64_t word = manager.pending_word();
@@ -152,48 +149,43 @@ TEST(IntegrityManager, DetectRecordsUnrecoverableError) {
 }
 
 TEST(IntegrityManager, RepairHealsStoreFromReplica) {
-  fault::FaultState faults;
-  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Repair),
-                               &faults);
+  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Repair));
   fs::MemoryStore store;
   const auto data = pattern_bytes(128);
   const fs::Extent extents[] = {{0, 128}};
-  manager.register_write(3, 1, extents, data.data());
+  manager.register_write(1, extents, data.data());
   auto tampered = data;
   tampered[5] ^= std::byte{0x80};
   tampered[100] ^= std::byte{0x01};  // both blocks corrupted
   store.write(1, 0, tampered.data(), tampered.size());
   manager.mark_landed(1, 0, tampered.size());
 
-  manager.verify_ranges(3, 1, extents, store);
+  manager.verify_ranges(1, extents, store);
   EXPECT_FALSE(manager.has_error());
   EXPECT_EQ(manager.counters().detected, 2u);
   EXPECT_EQ(manager.counters().repaired, 2u);
-  EXPECT_EQ(faults.of(3).corrupt_repaired, 2u);
   std::vector<std::byte> back(data.size());
   store.read(1, 0, back.data(), back.size());
   EXPECT_EQ(back, data);
 
   // A scrubber pass over the healed store finds nothing further, and
   // scrubber-attributed heals are counted separately.
-  manager.scrub_all(3, store, /*by_scrubber=*/true);
+  manager.scrub_all(store, /*by_scrubber=*/true);
   EXPECT_EQ(manager.counters().scrub_repairs, 0u);
   const std::byte recorrupted = data[30] ^ std::byte{0x40};
   store.write(1, 30, &recorrupted, 1);  // re-corrupt one byte
-  manager.scrub_all(3, store, /*by_scrubber=*/true);
+  manager.scrub_all(store, /*by_scrubber=*/true);
   EXPECT_EQ(manager.counters().scrub_repairs, 1u);
   store.read(1, 0, back.data(), back.size());
   EXPECT_EQ(back, data);
 }
 
 TEST(IntegrityManager, PartialOverwriteSplitsRecords) {
-  fault::FaultState faults;
-  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Repair),
-                               &faults);
+  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Repair));
   fs::MemoryStore store;
   const auto first = pattern_bytes(256, 1);
   const fs::Extent whole[] = {{0, 256}};
-  manager.register_write(0, 1, whole, first.data());
+  manager.register_write(1, whole, first.data());
   store.write(1, 0, first.data(), first.size());
   manager.mark_landed(1, 0, first.size());
 
@@ -202,12 +194,12 @@ TEST(IntegrityManager, PartialOverwriteSplitsRecords) {
   // carries fresh checksums.
   const auto second = pattern_bytes(100, 2);
   const fs::Extent middle[] = {{90, 100}};
-  manager.register_write(0, 1, middle, second.data());
+  manager.register_write(1, middle, second.data());
   store.write(1, 90, second.data(), second.size());
   manager.mark_landed(1, 90, second.size());
 
-  manager.verify_ranges(0, 1, whole, store);
-  manager.scrub_all(0, store, /*by_scrubber=*/false);
+  manager.verify_ranges(1, whole, store);
+  manager.scrub_all(store, /*by_scrubber=*/false);
   EXPECT_FALSE(manager.has_error());
   EXPECT_EQ(manager.counters().detected, 0u);
 
@@ -220,7 +212,7 @@ TEST(IntegrityManager, PartialOverwriteSplitsRecords) {
     flipped ^= std::byte{0x40};
     store.write(1, site, &flipped, 1);
   }
-  manager.scrub_all(0, store, /*by_scrubber=*/false);
+  manager.scrub_all(store, /*by_scrubber=*/false);
   EXPECT_EQ(manager.counters().detected, 3u);
   EXPECT_EQ(manager.counters().repaired, 3u);
   std::vector<std::byte> back(expected.size());
@@ -229,25 +221,21 @@ TEST(IntegrityManager, PartialOverwriteSplitsRecords) {
 }
 
 TEST(IntegrityManager, VerifyBufferHealsInPlace) {
-  fault::FaultState faults;
-  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Repair),
-                               &faults);
+  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Repair));
   const auto data = pattern_bytes(128);
   const fs::Extent extents[] = {{4096, 128}};
-  manager.register_write(0, 7, extents, data.data());
+  manager.register_write(7, extents, data.data());
 
   auto staged = data;
   staged[64] ^= std::byte{0x08};
-  manager.verify_buffer(0, 7, extents, staged.data());
+  manager.verify_buffer(7, extents, staged.data());
   EXPECT_EQ(staged, data);  // healed in place from the replica
   EXPECT_EQ(manager.counters().detected, 1u);
   EXPECT_EQ(manager.counters().repaired, 1u);
 }
 
 TEST(IntegrityManager, PendingWordPicksOneErrorForAgreement) {
-  fault::FaultState faults;
-  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Detect),
-                               &faults);
+  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Detect));
   EXPECT_EQ(manager.pending_word(), 0u);
   manager.record_error(2, 100, 64);
   manager.record_error(5, 7, 64);  // higher fs_id dominates the max-encode
@@ -265,12 +253,10 @@ TEST(IntegrityManager, PendingWordPicksOneErrorForAgreement) {
 }
 
 TEST(IntegrityManager, HarvestReturnsDeltasOnly) {
-  fault::FaultState faults;
-  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Repair),
-                               &faults);
+  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Repair));
   const auto data = pattern_bytes(64);
   const fs::Extent extents[] = {{0, 64}};
-  manager.register_write(0, 1, extents, data.data());
+  manager.register_write(1, extents, data.data());
   const fs::IntegrityCounters first = manager.harvest();
   EXPECT_EQ(first.blocks, 1u);
   const fs::IntegrityCounters second = manager.harvest();
@@ -288,6 +274,7 @@ struct IntegrityRun {
   bool threw_collective_error = false;
   std::vector<fs::CollectiveIoError> errors;  // one per throwing rank
   fault::FaultCounters faults;
+  fs::IntegrityCounters integrity;  // zero when the level is Off
   mpiio::FileStats stats;
 };
 
@@ -350,6 +337,9 @@ IntegrityRun run_corrupted(int nranks, const fault::FaultPlan& plan,
     }
   });
   result.faults = world.fault_state().total();
+  if (const auto* integ = world.integrity()) {
+    result.integrity = integ->counters();
+  }
   return result;
 }
 
@@ -363,20 +353,20 @@ TEST(IntegrityEndToEnd, CorruptionSlipsThroughOffAndNeverThroughRepair) {
   const IntegrityRun off = run_corrupted(8, plan, fs::IntegrityLevel::Off);
   EXPECT_FALSE(off.threw_collective_error);
   EXPECT_GT(off.faults.corrupt_injected, 0u);
-  EXPECT_EQ(off.faults.corrupt_detected, 0u);  // nobody was looking
+  EXPECT_EQ(off.integrity.detected, 0u);  // nobody was looking
   EXPECT_FALSE(off.write_verified);  // the silent corruption landed
 
   const IntegrityRun repair =
       run_corrupted(8, plan, fs::IntegrityLevel::Repair);
   EXPECT_FALSE(repair.threw_collective_error);
   EXPECT_GT(repair.faults.corrupt_injected, 0u);
-  EXPECT_GT(repair.faults.corrupt_detected, 0u);
+  EXPECT_GT(repair.integrity.detected, 0u);
   EXPECT_TRUE(repair.write_verified);  // every flip was caught and healed
   EXPECT_TRUE(repair.read_verified);
   // The file's close-time summary carries the pipeline's work.
-  EXPECT_GT(repair.stats.integrity_blocks, 0u);
-  EXPECT_GT(repair.stats.corrupt_detected, 0u);
-  EXPECT_EQ(repair.stats.integrity_errors, 0u);
+  EXPECT_GT(repair.stats.integrity.blocks, 0u);
+  EXPECT_GT(repair.stats.integrity.detected, 0u);
+  EXPECT_EQ(repair.stats.integrity.errors, 0u);
 }
 
 TEST(IntegrityEndToEnd, BbCorruptionIsHealedBeforeDrain) {
@@ -414,8 +404,34 @@ TEST(IntegrityEndToEnd, BbCorruptionIsHealedBeforeDrain) {
   });
   faults = world.fault_state().total();
   EXPECT_GT(faults.corrupt_injected, 0u);
-  EXPECT_GT(faults.corrupt_repaired, 0u);
+  EXPECT_GT(world.integrity()->counters().repaired, 0u);
   EXPECT_TRUE(verified);
+}
+
+/// Phantom arenas keep no bytes, so a decayed bb segment is detected by its
+/// decay draw. That detection must land in the pipeline's counters like a
+/// byte-level one: the close-time summary and the run document agree.
+TEST(IntegrityEndToEnd, PhantomBbCorruptionReachesTheSummary) {
+  workloads::IorConfig config;
+  config.block_size = 16 << 10;
+  config.xfer_size = 4 << 10;
+  workloads::RunSpec spec;
+  spec.byte_true = false;
+  spec.bb.enabled = true;
+  spec.integrity.level = fs::IntegrityLevel::Repair;
+  spec.fault = fault::FaultPlan::parse("seed=17;bb-corrupt=0.25");
+  const workloads::RunResult result =
+      workloads::run_ior(config, 8, spec, /*write=*/true);
+  ASSERT_GT(result.faults.corrupt_injected, 0u);
+
+  const obs::JsonValue doc = workloads::run_result_json(result);
+  const std::uint64_t detected =
+      doc.find("integrity")->find("detected")->as_uint();
+  EXPECT_GT(detected, 0u);
+  const std::string summary = result.stats.summary("ior");
+  const std::size_t at = summary.find("detected=");
+  ASSERT_NE(at, std::string::npos) << summary;
+  EXPECT_EQ(std::stoull(summary.substr(at + 9)), detected) << summary;
 }
 
 // ---------------------------------------------------------------------------
@@ -456,7 +472,7 @@ TEST(IntegrityAgreement, ZeroRetriesExhaustImmediately) {
   // No retransmit budget: the first corrupt landing is final, so nothing
   // was ever resent.
   EXPECT_EQ(run.faults.retries, 0u);
-  EXPECT_GT(run.faults.corrupt_detected, 0u);
+  EXPECT_GT(run.integrity.detected, 0u);
 }
 
 TEST(IntegrityAgreement, BackoffCapSaturatesDuringRetransmits) {

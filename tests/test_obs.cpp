@@ -6,6 +6,9 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
@@ -13,6 +16,7 @@
 #include "obs/run_export.hpp"
 #include "obs/span.hpp"
 #include "obs/wall_report.hpp"
+#include "workloads/ior.hpp"
 #include "workloads/runner.hpp"
 #include "workloads/tileio.hpp"
 
@@ -346,7 +350,7 @@ TEST(RunExport, MetricsMigrationAndDocument) {
   EXPECT_EQ(counters.at("stats.bytes_written"), result.stats.bytes_written);
   EXPECT_EQ(counters.at("stats.collective_writes"),
             result.stats.collective_writes);
-  EXPECT_EQ(counters.at("fault.retries"), result.faults.retries);
+  EXPECT_EQ(counters.at("faults.retries"), result.faults.retries);
   EXPECT_FALSE(result.stats.summary("tileio").empty());
 
   // Collective instrumentation recorded sync waits.
@@ -382,6 +386,62 @@ TEST(RunExport, MetricsMigrationAndDocument) {
                 ->find("stats.bytes_written")
                 ->as_uint(),
             result.stats.bytes_written);
+}
+
+using Leaves = std::vector<std::pair<std::string, const JsonValue*>>;
+
+/// Every numeric leaf of `doc` below `path`, as (dotted path, value).
+void numeric_leaves(const JsonValue& doc, const std::string& path,
+                    Leaves& out) {
+  if (doc.is_object()) {
+    for (const auto& [key, value] : doc.members()) {
+      numeric_leaves(value, path + "." + key, out);
+    }
+  } else if (doc.is_number()) {
+    out.emplace_back(path, &doc);
+  }
+}
+
+TEST(RunExport, RegistryMirrorsEveryCounterOfTheDocument) {
+  // Faults, burst buffer and integrity all live, so every counter object
+  // of the document carries nonzero leaves.
+  workloads::IorConfig config;
+  config.block_size = 16 << 10;
+  config.xfer_size = 4 << 10;
+  workloads::RunSpec spec;
+  spec.metrics = true;
+  spec.byte_true = true;
+  spec.bb.enabled = true;
+  spec.bb.capacity = 6 << 10;  // one segment per node fits, the rest spill
+  spec.integrity.level = fs::IntegrityLevel::Repair;
+  spec.fault = fault::FaultPlan::parse(
+      "seed=17;bb-corrupt=0.25;rpc-corrupt=0.2;rpc-drop=0.05;timeout=0.002;"
+      "backoff=0.001:0.004;max-retries=16");
+  const auto result = workloads::run_ior(config, 8, spec, /*write=*/true);
+  ASSERT_NE(result.metrics, nullptr);
+  EXPECT_TRUE(result.verified);
+  EXPECT_GT(result.stats.faults.retries, 0u);
+  EXPECT_GT(result.stats.bb.staged_segments, 0u);
+  EXPECT_GT(result.stats.integrity.detected, 0u);
+
+  const JsonValue doc = workloads::run_result_json(result);
+  Leaves leaves;
+  for (const char* object : {"stats", "faults", "integrity"}) {
+    ASSERT_NE(doc.find(object), nullptr) << object;
+    numeric_leaves(*doc.find(object), object, leaves);
+  }
+  EXPECT_GT(leaves.size(), 50u);
+  const auto& counters = result.metrics->counters();
+  const auto& gauges = result.metrics->gauges();
+  for (const auto& [path, value] : leaves) {
+    if (value->type() == JsonValue::Type::Double) {
+      ASSERT_TRUE(gauges.count(path)) << path;
+      EXPECT_EQ(gauges.at(path), value->as_double()) << path;
+    } else {
+      ASSERT_TRUE(counters.count(path)) << path;
+      EXPECT_EQ(counters.at(path), value->as_uint()) << path;
+    }
+  }
 }
 
 // --------------------------------------------------------- bit identity --

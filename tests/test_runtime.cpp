@@ -1,7 +1,9 @@
 // World/Rank runtime: lifecycle, accounting, shared objects, determinism.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <utility>
 
 #include "fs/lustre.hpp"
 #include "mpiio/stats.hpp"
@@ -132,32 +134,128 @@ TEST(Comm, MembershipQueries) {
   EXPECT_THROW(Comm(6, {1, 1}), std::invalid_argument);
 }
 
+/// Every FileStats field, embedded counters included, set by name to a
+/// distinct multiple of `k`.
+mpiio::FileStats numbered_stats(std::uint64_t k) {
+  mpiio::FileStats s;
+  for (std::size_t c = 0; c < kNumTimeCats; ++c) {
+    s.time.seconds[c] = static_cast<double>(k * (c + 1));
+  }
+  s.bytes_written = k * 1;
+  s.bytes_read = k * 2;
+  s.collective_writes = k * 3;
+  s.collective_reads = k * 4;
+  s.independent_writes = k * 5;
+  s.independent_reads = k * 6;
+  s.exchange_cycles = k * 7;
+  s.rmw_reads = k * 8;
+  s.parcoll_calls = k * 9;
+  s.intranode_calls = k * 10;
+  s.intranode_bytes = k * 11;
+  s.view_switches = k * 12;
+  s.last_num_groups = 4;
+  s.faults.retries = k * 13;
+  s.faults.failovers = k * 14;
+  s.faults.drops = k * 15;
+  s.faults.delays = k * 16;
+  s.faults.reelections = k * 17;
+  s.faults.stalls = k * 18;
+  s.faults.corrupt_injected = k * 19;
+  s.faults.faulted_seconds = static_cast<double>(k * 20);
+  s.bb.staged_segments = k * 21;
+  s.bb.staged_bytes = k * 22;
+  s.bb.drained_segments = k * 23;
+  s.bb.drained_bytes = k * 24;
+  s.bb.spills = k * 25;
+  s.bb.spill_bytes = k * 26;
+  s.bb.conflict_flushes = k * 27;
+  s.bb.drain_retries = k * 28;
+  s.bb.drain_failovers = k * 29;
+  s.integrity.blocks = k * 30;
+  s.integrity.bytes_checksummed = k * 31;
+  s.integrity.detected = k * 32;
+  s.integrity.repaired = k * 33;
+  s.integrity.scrub_repairs = k * 34;
+  s.integrity.errors = k * 35;
+  return s;
+}
+
+void expect_same_stats(const mpiio::FileStats& a, const mpiio::FileStats& b) {
+  for (std::size_t c = 0; c < kNumTimeCats; ++c) {
+    EXPECT_DOUBLE_EQ(a.time.seconds[c], b.time.seconds[c]) << "time " << c;
+  }
+  EXPECT_EQ(a.bytes_written, b.bytes_written);
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  EXPECT_EQ(a.collective_writes, b.collective_writes);
+  EXPECT_EQ(a.collective_reads, b.collective_reads);
+  EXPECT_EQ(a.independent_writes, b.independent_writes);
+  EXPECT_EQ(a.independent_reads, b.independent_reads);
+  EXPECT_EQ(a.exchange_cycles, b.exchange_cycles);
+  EXPECT_EQ(a.rmw_reads, b.rmw_reads);
+  EXPECT_EQ(a.parcoll_calls, b.parcoll_calls);
+  EXPECT_EQ(a.intranode_calls, b.intranode_calls);
+  EXPECT_EQ(a.intranode_bytes, b.intranode_bytes);
+  EXPECT_EQ(a.view_switches, b.view_switches);
+  EXPECT_EQ(a.last_num_groups, b.last_num_groups);
+  EXPECT_EQ(a.faults.retries, b.faults.retries);
+  EXPECT_EQ(a.faults.failovers, b.faults.failovers);
+  EXPECT_EQ(a.faults.drops, b.faults.drops);
+  EXPECT_EQ(a.faults.delays, b.faults.delays);
+  EXPECT_EQ(a.faults.reelections, b.faults.reelections);
+  EXPECT_EQ(a.faults.stalls, b.faults.stalls);
+  EXPECT_EQ(a.faults.corrupt_injected, b.faults.corrupt_injected);
+  EXPECT_DOUBLE_EQ(a.faults.faulted_seconds, b.faults.faulted_seconds);
+  EXPECT_EQ(a.bb.staged_segments, b.bb.staged_segments);
+  EXPECT_EQ(a.bb.staged_bytes, b.bb.staged_bytes);
+  EXPECT_EQ(a.bb.drained_segments, b.bb.drained_segments);
+  EXPECT_EQ(a.bb.drained_bytes, b.bb.drained_bytes);
+  EXPECT_EQ(a.bb.spills, b.bb.spills);
+  EXPECT_EQ(a.bb.spill_bytes, b.bb.spill_bytes);
+  EXPECT_EQ(a.bb.conflict_flushes, b.bb.conflict_flushes);
+  EXPECT_EQ(a.bb.drain_retries, b.bb.drain_retries);
+  EXPECT_EQ(a.bb.drain_failovers, b.bb.drain_failovers);
+  EXPECT_EQ(a.integrity.blocks, b.integrity.blocks);
+  EXPECT_EQ(a.integrity.bytes_checksummed, b.integrity.bytes_checksummed);
+  EXPECT_EQ(a.integrity.detected, b.integrity.detected);
+  EXPECT_EQ(a.integrity.repaired, b.integrity.repaired);
+  EXPECT_EQ(a.integrity.scrub_repairs, b.integrity.scrub_repairs);
+  EXPECT_EQ(a.integrity.errors, b.integrity.errors);
+}
+
+/// Fields a counter struct's `fields` visitor reaches, times their size:
+/// equals sizeof(T) only when no member was left off the list.
+template <typename T>
+std::size_t visited_bytes() {
+  std::size_t bytes = 0;
+  T::fields([&](const char*, auto member) {
+    bytes += sizeof(std::declval<T&>().*member);
+  });
+  return bytes;
+}
+
 TEST(Stats, AccumulateAllFields) {
-  mpiio::FileStats a;
-  a.time.seconds[0] = 1;
-  a.bytes_written = 10;
-  a.collective_writes = 1;
-  a.exchange_cycles = 5;
-  a.view_switches = 1;
-  a.last_num_groups = 4;
-  mpiio::FileStats b;
-  b.bytes_read = 20;
-  b.independent_reads = 2;
-  b.rmw_reads = 3;
-  b.parcoll_calls = 1;
+  mpiio::FileStats a = numbered_stats(1);
+  mpiio::FileStats b = numbered_stats(1);
   b.last_num_groups = 0;  // zero must not clobber the previous value
   a += b;
-  EXPECT_EQ(a.bytes_written, 10u);
-  EXPECT_EQ(a.bytes_read, 20u);
-  EXPECT_EQ(a.independent_reads, 2u);
-  EXPECT_EQ(a.rmw_reads, 3u);
-  EXPECT_EQ(a.parcoll_calls, 1u);
-  EXPECT_EQ(a.view_switches, 1u);
-  EXPECT_EQ(a.last_num_groups, 4);
+  expect_same_stats(a, numbered_stats(2));
   mpiio::FileStats c;
   c.last_num_groups = 8;
   a += c;
   EXPECT_EQ(a.last_num_groups, 8);  // newer nonzero value wins
+
+  // The struct-level difference is the inverse of +=.
+  mpiio::FileStats d = numbered_stats(2);
+  d.faults = numbered_stats(3).faults - numbered_stats(1).faults;
+  d.integrity = numbered_stats(3).integrity - numbered_stats(1).integrity;
+  expect_same_stats(d, numbered_stats(2));
+
+  // Every member of the embedded structs is on its field list.
+  EXPECT_EQ(visited_bytes<fault::FaultCounters>(),
+            sizeof(fault::FaultCounters));
+  EXPECT_EQ(visited_bytes<bb::BbCounters>(), sizeof(bb::BbCounters));
+  EXPECT_EQ(visited_bytes<fs::IntegrityCounters>(),
+            sizeof(fs::IntegrityCounters));
 }
 
 }  // namespace

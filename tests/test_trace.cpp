@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "core/parcoll.hpp"
 #include "mpi/collectives.hpp"
@@ -11,6 +12,15 @@
 namespace parcoll::mpi {
 namespace {
 
+/// The tracer's Phase leaves (the recorded intervals), in recording order.
+std::vector<obs::Span> leaves(const Tracer& tracer) {
+  std::vector<obs::Span> out;
+  for (const obs::Span& span : tracer.spans().spans()) {
+    if (span.kind == obs::SpanKind::Phase) out.push_back(span);
+  }
+  return out;
+}
+
 TEST(Trace, RecordsBusyIntervals) {
   World world(machine::MachineModel::jaguar(2));
   auto& tracer = world.enable_tracing();
@@ -18,12 +28,13 @@ TEST(Trace, RecordsBusyIntervals) {
     self.busy(TimeCat::Compute, 0.5);
     if (self.rank() == 1) self.busy(TimeCat::IO, 0.25);
   });
-  ASSERT_EQ(tracer.events().size(), 3u);
-  const auto& first = tracer.events()[0];
+  const std::vector<obs::Span> recorded = leaves(tracer);
+  ASSERT_EQ(recorded.size(), 3u);
+  const auto& first = recorded[0];
   EXPECT_EQ(first.cat, TimeCat::Compute);
   EXPECT_DOUBLE_EQ(first.begin, 0.0);
   EXPECT_DOUBLE_EQ(first.end, 0.5);
-  const auto& io = tracer.events()[2];
+  const auto& io = recorded[2];
   EXPECT_EQ(io.rank, 1);
   EXPECT_EQ(io.cat, TimeCat::IO);
   EXPECT_DOUBLE_EQ(io.begin, 0.5);
@@ -39,8 +50,8 @@ TEST(Trace, CapturesCollectiveWaits) {
   });
   // Ranks 0..2 each have a ~1 s Sync interval ending at the barrier.
   int syncs = 0;
-  for (const auto& event : tracer.events()) {
-    if (event.cat == TimeCat::Sync && event.end - event.begin > 0.9) {
+  for (const auto& leaf : leaves(tracer)) {
+    if (leaf.cat == TimeCat::Sync && leaf.end - leaf.begin > 0.9) {
       ++syncs;
     }
   }
@@ -51,7 +62,7 @@ TEST(Trace, ZeroLengthIntervalsAreDropped) {
   Tracer tracer;
   tracer.record(0, TimeCat::Sync, 1.0, 1.0);
   tracer.record(0, TimeCat::Sync, 1.0, 0.5);
-  EXPECT_TRUE(tracer.events().empty());
+  EXPECT_TRUE(tracer.spans().empty());
 }
 
 TEST(Trace, CsvHasHeaderAndRows) {
@@ -94,8 +105,8 @@ TEST(Trace, EndToEndCollectiveWriteProducesAllCategories) {
     file.close();
   });
   bool has[kNumTimeCats] = {};
-  for (const auto& event : tracer.events()) {
-    has[static_cast<std::size_t>(event.cat)] = true;
+  for (const auto& leaf : leaves(tracer)) {
+    has[static_cast<std::size_t>(leaf.cat)] = true;
   }
   EXPECT_TRUE(has[static_cast<std::size_t>(TimeCat::Compute)]);
   EXPECT_TRUE(has[static_cast<std::size_t>(TimeCat::P2P)]);

@@ -89,9 +89,9 @@ int report_outcome(const std::string& what, const ScheduleOutcome& outcome) {
           "  corruption: injected=%llu detected=%llu repaired=%llu "
           "scrub_repairs=%llu\n",
           static_cast<unsigned long long>(outcome.faults.corrupt_injected),
-          static_cast<unsigned long long>(outcome.faults.corrupt_detected),
-          static_cast<unsigned long long>(outcome.faults.corrupt_repaired),
-          static_cast<unsigned long long>(outcome.faults.scrub_repairs));
+          static_cast<unsigned long long>(outcome.integrity.detected),
+          static_cast<unsigned long long>(outcome.integrity.repaired),
+          static_cast<unsigned long long>(outcome.integrity.scrub_repairs));
     }
   }
   std::printf("  invariant checks: %llu\n",

@@ -13,6 +13,7 @@
 //               --trace trace.csv --gantt
 //   parcoll_sim --workload ior --nprocs 64 --impl parcoll
 //               --fault "seed=7;ost-outage=3:0.05:0.4;rpc-drop=0.02"
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -405,9 +406,9 @@ int main(int argc, char** argv) {
         "bb        : %s, staged %llu segs (%.1f MiB), spills %llu, "
         "hidden drain %.4fs, exposed wait %.4fs (%.1f%%), durable at %.4fs\n",
         bb::to_string(spec.bb.policy),
-        static_cast<unsigned long long>(result.stats.bb_staged_segments),
-        static_cast<double>(result.stats.bb_staged_bytes) / (1 << 20),
-        static_cast<unsigned long long>(result.stats.bb_spills),
+        static_cast<unsigned long long>(result.stats.bb.staged_segments),
+        static_cast<double>(result.stats.bb.staged_bytes) / (1 << 20),
+        static_cast<unsigned long long>(result.stats.bb.spills),
         result.stats.time[mpi::TimeCat::Drain],
         result.sum[mpi::TimeCat::DrainWait],
         100 * result.sum[mpi::TimeCat::DrainWait] / total,
@@ -457,9 +458,9 @@ int main(int argc, char** argv) {
           "corruption: injected=%llu detected=%llu repaired=%llu "
           "scrub_repairs=%llu\n",
           static_cast<unsigned long long>(result.faults.corrupt_injected),
-          static_cast<unsigned long long>(result.faults.corrupt_detected),
-          static_cast<unsigned long long>(result.faults.corrupt_repaired),
-          static_cast<unsigned long long>(result.faults.scrub_repairs));
+          static_cast<unsigned long long>(result.integrity.detected),
+          static_cast<unsigned long long>(result.integrity.repaired),
+          static_cast<unsigned long long>(result.integrity.scrub_repairs));
     }
   }
   if (spec.integrity.enabled()) {
@@ -467,18 +468,24 @@ int main(int argc, char** argv) {
         "integrity : %s, %llu blocks (%.1f MiB checksummed), %.4fs overhead, "
         "errors=%llu\n",
         fs::to_string(spec.integrity.level),
-        static_cast<unsigned long long>(result.stats.integrity_blocks),
-        static_cast<double>(result.stats.integrity_bytes) / (1 << 20),
+        static_cast<unsigned long long>(result.stats.integrity.blocks),
+        static_cast<double>(result.stats.integrity.bytes_checksummed) /
+            (1 << 20),
         result.sum[mpi::TimeCat::Integrity],
-        static_cast<unsigned long long>(result.stats.integrity_errors));
+        static_cast<unsigned long long>(result.stats.integrity.errors));
   }
   std::printf("%s\n", result.stats.summary(workload).c_str());
   if (result.trace) {
     if (!trace_path.empty()) {
       std::ofstream os(trace_path);
       result.trace->write_csv(os);
-      std::printf("trace     : %zu intervals -> %s\n",
-                  result.trace->events().size(), trace_path.c_str());
+      const auto& spans = result.trace->spans().spans();
+      const auto leaves =
+          std::count_if(spans.begin(), spans.end(), [](const obs::Span& s) {
+            return s.kind == obs::SpanKind::Phase;
+          });
+      std::printf("trace     : %td intervals -> %s\n", leaves,
+                  trace_path.c_str());
     }
     if (!trace_json_path.empty()) {
       std::ofstream os(trace_json_path);
