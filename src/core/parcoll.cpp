@@ -108,18 +108,17 @@ void run_two_phase(mpi::Rank& self, const mpi::Comm& comm,
   if (node::two_level_active(hints.cb_intranode, topo, comm)) {
     const node::NodeComm nodes =
         node::make_node_comm(self, comm, topo, hints.cb_intranode_leader);
-    auto leader_aggs = nodes.to_leader_locals(options.aggregators);
     // Auto's cost gate: staging funnels all file traffic through the node
     // leaders, so a roster with several aggregators on one node (e.g. the
     // Catamount every-process default) would lose I/O parallelism to buy
     // the coordination win. Auto declines then; On trusts the user.
     if (hints.cb_intranode == node::IntranodeMode::Auto &&
-        leader_aggs.size() != options.aggregators.size()) {
+        nodes.layout().shares_a_node(options.aggregators)) {
       std::tie(outcome.cycles, outcome.rmw_reads) =
           run_ext2ph(self, comm, target, request, options, is_write);
       return;
     }
-    options.aggregators = std::move(leader_aggs);
+    options.aggregators = nodes.layout().to_leader_locals(options.aggregators);
     const auto result =
         is_write
             ? node::two_level_write(self, nodes, target, request, options)

@@ -197,6 +197,17 @@ void CollEngine::cache_split(const Comm& comm) {
   split_cache_.emplace(comm.context_id(), comm);
 }
 
+std::shared_ptr<const void> CollEngine::cached_attr(std::uint64_t ctx,
+                                                    std::uint64_t key) const {
+  const auto it = attr_cache_.find({ctx, key});
+  return it == attr_cache_.end() ? nullptr : it->second;
+}
+
+void CollEngine::cache_attr(std::uint64_t ctx, std::uint64_t key,
+                            std::shared_ptr<const void> value) {
+  attr_cache_.emplace(OpKey{ctx, key}, std::move(value));
+}
+
 void barrier(Rank& self, const Comm& comm) {
   coll_run(self, comm, CollKind::Barrier, {});
 }

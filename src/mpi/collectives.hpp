@@ -88,6 +88,16 @@ class CollEngine {
   [[nodiscard]] const Comm* cached_split(std::uint64_t ctx) const;
   void cache_split(const Comm& comm);
 
+  /// Communicator attributes (the role of MPI_Comm_set_attr): a structure
+  /// every member derives identically from a communicator, cached by
+  /// (context id, attribute key) so members share one copy instead of
+  /// rebuilding it per call. Null when absent. The owner validates a hit
+  /// against the communicator, since hand-made comms may reuse a context.
+  [[nodiscard]] std::shared_ptr<const void> cached_attr(std::uint64_t ctx,
+                                                        std::uint64_t key) const;
+  void cache_attr(std::uint64_t ctx, std::uint64_t key,
+                  std::shared_ptr<const void> value);
+
  private:
   struct Op {
     CollKind kind = CollKind::Barrier;
@@ -112,6 +122,7 @@ class CollEngine {
   std::map<OpKey, Op> ops_;
   std::map<OpKey, SharedVal> shared_vals_;
   std::unordered_map<std::uint64_t, Comm> split_cache_;
+  std::map<OpKey, std::shared_ptr<const void>> attr_cache_;
 };
 
 // --- Typed wrappers -------------------------------------------------------

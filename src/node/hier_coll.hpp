@@ -8,7 +8,7 @@
 // the two-phase data exchange, applied to ext2ph's coordination traffic.
 //
 // Every variant degenerates to the flat collective when no node hosts two
-// members (NodeComm::multi == false), so results — and, in that case, the
+// members (NodeLayout::multi == false), so results — and, in that case, the
 // timing — are identical to the single-level protocol.
 #pragma once
 
@@ -29,29 +29,30 @@ namespace parcoll::node {
 template <typename T>
 std::vector<T> hier_allgather(mpi::Rank& self, const NodeComm& nc,
                               const T& value) {
-  if (!nc.multi) {
-    return mpi::allgather(self, nc.parent, value);
+  if (!nc.multi()) {
+    return mpi::allgather(self, nc.parent(), value);
   }
   // Stage 1: node members deposit their values at the leader.
   auto node_vals =
-      mpi::gather(self, nc.node_comm, nc.leader_node_local, value);
-  std::vector<T> result(static_cast<std::size_t>(nc.parent.size()));
+      mpi::gather(self, nc.node_comm(), nc.leader_node_local(), value);
+  std::vector<T> result(static_cast<std::size_t>(nc.parent().size()));
   if (nc.i_lead()) {
     // Stage 2: leaders exchange whole node vectors.
-    auto per_node = mpi::allgatherv(self, nc.leader_comm, node_vals);
+    auto per_node = mpi::allgatherv(self, nc.leader_comm(), node_vals);
+    const auto& node_members = nc.layout().node_members;
     for (std::size_t n = 0; n < per_node.size(); ++n) {
       for (std::size_t i = 0; i < per_node[n].size(); ++i) {
-        result[static_cast<std::size_t>(nc.node_members[n][i])] =
+        result[static_cast<std::size_t>(node_members[n][i])] =
             per_node[n][i];
       }
     }
   }
   // Stage 3: the leader rebroadcasts the assembled vector within the node.
   auto all = mpi::coll_run(
-      self, nc.node_comm, mpi::CollKind::Bcast,
+      self, nc.node_comm(), mpi::CollKind::Bcast,
       nc.i_lead() ? mpi::detail::to_bytes(result) : std::vector<std::byte>{});
   return mpi::detail::vector_from<T>(
-      (*all)[static_cast<std::size_t>(nc.leader_node_local)]);
+      (*all)[static_cast<std::size_t>(nc.leader_node_local())]);
 }
 
 /// Allreduce staged through the node leaders: reduce within the node,
@@ -59,20 +60,20 @@ std::vector<T> hier_allgather(mpi::Rank& self, const NodeComm& nc,
 template <typename T, typename BinaryOp>
 T hier_allreduce(mpi::Rank& self, const NodeComm& nc, const T& value,
                  BinaryOp op) {
-  if (!nc.multi) {
-    return mpi::allreduce(self, nc.parent, value, op);
+  if (!nc.multi()) {
+    return mpi::allreduce(self, nc.parent(), value, op);
   }
   auto node_vals =
-      mpi::gather(self, nc.node_comm, nc.leader_node_local, value);
+      mpi::gather(self, nc.node_comm(), nc.leader_node_local(), value);
   T accum = value;
   if (nc.i_lead()) {
     accum = node_vals[0];
     for (std::size_t i = 1; i < node_vals.size(); ++i) {
       accum = op(accum, node_vals[i]);
     }
-    accum = mpi::allreduce(self, nc.leader_comm, accum, op);
+    accum = mpi::allreduce(self, nc.leader_comm(), accum, op);
   }
-  return mpi::bcast(self, nc.node_comm, nc.leader_node_local, accum);
+  return mpi::bcast(self, nc.node_comm(), nc.leader_node_local(), accum);
 }
 
 template <typename T>
@@ -89,15 +90,15 @@ T hier_allreduce_sum(mpi::Rank& self, const NodeComm& nc, const T& value) {
 /// Barrier staged through the node leaders: arrive at the leader, leaders
 /// synchronize, leader releases the node.
 inline void hier_barrier(mpi::Rank& self, const NodeComm& nc) {
-  if (!nc.multi) {
-    mpi::barrier(self, nc.parent);
+  if (!nc.multi()) {
+    mpi::barrier(self, nc.parent());
     return;
   }
-  (void)mpi::gather(self, nc.node_comm, nc.leader_node_local, char{0});
+  (void)mpi::gather(self, nc.node_comm(), nc.leader_node_local(), char{0});
   if (nc.i_lead()) {
-    mpi::barrier(self, nc.leader_comm);
+    mpi::barrier(self, nc.leader_comm());
   }
-  (void)mpi::bcast(self, nc.node_comm, nc.leader_node_local, char{0});
+  (void)mpi::bcast(self, nc.node_comm(), nc.leader_node_local(), char{0});
 }
 
 /// Personalized exchange staged leader-only: each rank supplies one value
@@ -107,27 +108,28 @@ inline void hier_barrier(mpi::Rank& self, const NodeComm& nc) {
 template <typename T>
 std::vector<T> hier_alltoall(mpi::Rank& self, const NodeComm& nc,
                              const std::vector<T>& send) {
-  if (!nc.multi) {
-    return mpi::alltoall(self, nc.parent, send);
+  if (!nc.multi()) {
+    return mpi::alltoall(self, nc.parent(), send);
   }
-  const auto P = static_cast<std::size_t>(nc.parent.size());
+  const auto P = static_cast<std::size_t>(nc.parent().size());
   if (send.size() != P) {
     throw std::logic_error("hier_alltoall: send must have parent.size() items");
   }
   // Stage 1: members deposit their whole send vector at the leader.
   auto member_rows =
-      mpi::gatherv(self, nc.node_comm, nc.leader_node_local, send);
+      mpi::gatherv(self, nc.node_comm(), nc.leader_node_local(), send);
   std::vector<std::vector<T>> mine;
   if (nc.i_lead()) {
     // Stage 2: leaders exchange per-node-pair blocks. The block my node m
     // sends node n is [send_s[d] for s in members(m), d in members(n)],
     // source-major.
-    const auto num_nodes = static_cast<std::size_t>(nc.num_nodes());
+    const NodeLayout& layout = nc.layout();
+    const auto num_nodes = static_cast<std::size_t>(layout.num_nodes());
     const auto& my_members =
-        nc.node_members[static_cast<std::size_t>(nc.my_node_index)];
+        layout.node_members[static_cast<std::size_t>(nc.my_node_index())];
     std::vector<std::vector<T>> blocks(num_nodes);
     for (std::size_t n = 0; n < num_nodes; ++n) {
-      const auto& dst_members = nc.node_members[n];
+      const auto& dst_members = layout.node_members[n];
       blocks[n].reserve(my_members.size() * dst_members.size());
       for (std::size_t s = 0; s < my_members.size(); ++s) {
         for (int d : dst_members) {
@@ -135,7 +137,7 @@ std::vector<T> hier_alltoall(mpi::Rank& self, const NodeComm& nc,
         }
       }
     }
-    auto received = mpi::alltoallv(self, nc.leader_comm, blocks);
+    auto received = mpi::alltoallv(self, nc.leader_comm(), blocks);
     // Stage 3a: reassemble each local member's result row, ordered by
     // parent local rank of the source.
     mine.resize(my_members.size());
@@ -143,8 +145,8 @@ std::vector<T> hier_alltoall(mpi::Rank& self, const NodeComm& nc,
       auto& row = mine[di];
       row.resize(P);
       for (std::size_t j = 0; j < P; ++j) {
-        const auto m = static_cast<std::size_t>(nc.node_index_of[j]);
-        const auto& src_members = nc.node_members[m];
+        const auto m = static_cast<std::size_t>(layout.node_index_of[j]);
+        const auto& src_members = layout.node_members[m];
         const auto si = static_cast<std::size_t>(
             std::find(src_members.begin(), src_members.end(),
                       static_cast<int>(j)) -
@@ -154,7 +156,7 @@ std::vector<T> hier_alltoall(mpi::Rank& self, const NodeComm& nc,
     }
   }
   // Stage 3b: the leader hands each member its row.
-  return mpi::scatterv(self, nc.node_comm, nc.leader_node_local, mine);
+  return mpi::scatterv(self, nc.node_comm(), nc.leader_node_local(), mine);
 }
 
 }  // namespace parcoll::node

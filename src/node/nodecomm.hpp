@@ -17,8 +17,15 @@
 // ids are stable hashes of the parent context — every member computes the
 // identical communicators without exchanging a byte, exactly like ROMIO
 // deriving its aggregator layout from the static process map.
+//
+// Node membership is a property of the communicator, not of the call. The
+// comm-global part (NodeLayout) is built once per (parent communicator,
+// leader policy) and cached in the World's collective engine, so every
+// member of every later call shares that one copy. A NodeComm is a rank's
+// O(1) view into it: the shared layout plus where the rank sits in it.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "machine/topology.hpp"
@@ -28,27 +35,24 @@
 
 namespace parcoll::node {
 
-struct NodeComm {
+/// The comm-global two-level structure of one parent communicator under
+/// one leader policy. Immutable once built and shared by all members.
+struct NodeLayout {
   mpi::Comm parent;
-  /// Members of `parent` on my physical node, ordered by parent rank.
-  mpi::Comm node_comm;
-  /// One leader per occupied node, ordered by node index. Every rank holds
-  /// the same member list, but only leaders participate in its traffic.
-  mpi::Comm leader_comm;
-
   /// True when some node hosts >= 2 parent members (two-level staging has
   /// something to aggregate).
   bool multi = false;
-  /// Dense index (leader_comm local rank of my node's leader) of my node.
-  int my_node_index = -1;
-  /// My node's leader as a node_comm local rank.
-  int leader_node_local = 0;
   /// Per node index: the leader's parent-local rank.
   std::vector<int> leaders;
   /// Per node index: all members' parent-local ranks, ascending.
   std::vector<std::vector<int>> node_members;
   /// Parent-local rank -> node index.
   std::vector<int> node_index_of;
+  /// Per node index: the node's members as a communicator.
+  std::vector<mpi::Comm> node_comms;
+  /// One leader per occupied node, ordered by node index. Every rank sees
+  /// the same member list, but only leaders participate in its traffic.
+  mpi::Comm leader_comm;
 
   [[nodiscard]] int num_nodes() const {
     return static_cast<int>(leaders.size());
@@ -58,10 +62,6 @@ struct NodeComm {
                node_index_of[static_cast<std::size_t>(parent_local)])] ==
            parent_local;
   }
-  /// Whether the calling rank (parent local rank stored at construction)
-  /// leads its node.
-  [[nodiscard]] bool i_lead() const { return i_lead_; }
-  [[nodiscard]] int my_parent_local() const { return my_parent_local_; }
 
   /// Map a set of parent-local ranks to the leader_comm-local ranks of the
   /// nodes hosting them (sorted, deduplicated). This is how an aggregator
@@ -70,13 +70,50 @@ struct NodeComm {
   [[nodiscard]] std::vector<int> to_leader_locals(
       const std::vector<int>& parent_locals) const;
 
-  // Filled in by make_node_comm.
-  bool i_lead_ = false;
+  /// True when two entries of `parent_locals` sit on the same node, i.e.
+  /// to_leader_locals would merge some of them. O(size) with early exit.
+  [[nodiscard]] bool shares_a_node(
+      const std::vector<int>& parent_locals) const;
+};
+
+/// One rank's view of a NodeLayout: the shared layout plus the caller's
+/// own position in it. Copies nothing O(P).
+class NodeComm {
+ public:
+  NodeComm() = default;
+  NodeComm(std::shared_ptr<const NodeLayout> layout, int my_parent_local);
+
+  [[nodiscard]] const NodeLayout& layout() const { return *layout_; }
+  [[nodiscard]] const mpi::Comm& parent() const { return layout_->parent; }
+  /// Members of `parent` on my physical node, ordered by parent rank.
+  [[nodiscard]] const mpi::Comm& node_comm() const {
+    return layout_->node_comms[static_cast<std::size_t>(my_node_index_)];
+  }
+  [[nodiscard]] const mpi::Comm& leader_comm() const {
+    return layout_->leader_comm;
+  }
+  [[nodiscard]] bool multi() const { return layout_->multi; }
+  [[nodiscard]] int num_nodes() const { return layout_->num_nodes(); }
+
+  [[nodiscard]] int my_parent_local() const { return my_parent_local_; }
+  /// Dense index (leader_comm local rank of my node's leader) of my node.
+  [[nodiscard]] int my_node_index() const { return my_node_index_; }
+  /// My node's leader as a node_comm local rank.
+  [[nodiscard]] int leader_node_local() const { return leader_node_local_; }
+  /// Whether the calling rank leads its node.
+  [[nodiscard]] bool i_lead() const { return i_lead_; }
+
+ private:
+  std::shared_ptr<const NodeLayout> layout_;
   int my_parent_local_ = -1;
+  int my_node_index_ = -1;
+  int leader_node_local_ = 0;
+  bool i_lead_ = false;
 };
 
 /// True when two-level staging would aggregate anything: some physical node
-/// hosts at least two members of `comm`.
+/// hosts at least two members of `comm`. O(1) on single-core nodes, else
+/// O(size) with early exit.
 [[nodiscard]] bool two_level_applicable(const machine::Topology& topology,
                                         const mpi::Comm& comm);
 
@@ -87,9 +124,11 @@ struct NodeComm {
                                     const machine::Topology& topology,
                                     const mpi::Comm& comm);
 
-/// Build the two-level structure for `comm`. Deterministic and local:
-/// every member computes identical communicators. `self` supplies the
-/// context-derivation service and the caller's identity.
+/// The two-level structure for `comm`, seen from the calling rank. The
+/// layout is built on the first call for a (communicator, policy) pair and
+/// cached in `self`'s World; later calls, from any member, share it, so
+/// `topology` must be that World's. Deterministic and local: no exchange,
+/// no collective sequence number.
 [[nodiscard]] NodeComm make_node_comm(mpi::Rank& self, const mpi::Comm& comm,
                                       const machine::Topology& topology,
                                       LeaderPolicy policy);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/parcoll.hpp"
+#include "fault/fault.hpp"
 #include "machine/machine_model.hpp"
 #include "mpi/collectives.hpp"
 #include "mpi/runtime.hpp"
@@ -43,19 +44,19 @@ TEST(NodeComm, BlockMappingStructure) {
   });
   for (int r = 0; r < 8; ++r) {
     const auto& nc = ncs[static_cast<std::size_t>(r)];
-    EXPECT_TRUE(nc.multi);
+    EXPECT_TRUE(nc.multi());
     EXPECT_EQ(nc.num_nodes(), 4);
-    EXPECT_EQ(nc.leaders, (std::vector<int>{0, 2, 4, 6}));
-    EXPECT_EQ(nc.node_members[1], (std::vector<int>{2, 3}));
-    EXPECT_EQ(nc.node_index_of[5], 2);
+    EXPECT_EQ(nc.layout().leaders, (std::vector<int>{0, 2, 4, 6}));
+    EXPECT_EQ(nc.layout().node_members[1], (std::vector<int>{2, 3}));
+    EXPECT_EQ(nc.layout().node_index_of[5], 2);
     EXPECT_EQ(nc.my_parent_local(), r);
-    EXPECT_EQ(nc.my_node_index, r / 2);
+    EXPECT_EQ(nc.my_node_index(), r / 2);
     EXPECT_EQ(nc.i_lead(), r % 2 == 0);
-    EXPECT_EQ(nc.is_leader(r), r % 2 == 0);
+    EXPECT_EQ(nc.layout().is_leader(r), r % 2 == 0);
     // node_comm holds my node's members; leader_comm one rank per node.
-    EXPECT_EQ(nc.node_comm.members(),
+    EXPECT_EQ(nc.node_comm().members(),
               (std::vector<int>{r / 2 * 2, r / 2 * 2 + 1}));
-    EXPECT_EQ(nc.leader_comm.members(), (std::vector<int>{0, 2, 4, 6}));
+    EXPECT_EQ(nc.leader_comm().members(), (std::vector<int>{0, 2, 4, 6}));
   }
 }
 
@@ -68,12 +69,12 @@ TEST(NodeComm, CyclicMappingStructure) {
   // node_of(r) = r % 4: N0(0,4) N1(1,5) N2(2,6) N3(3,7).
   const auto& nc = ncs[5];
   EXPECT_EQ(nc.num_nodes(), 4);
-  EXPECT_EQ(nc.leaders, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(nc.node_members[1], (std::vector<int>{1, 5}));
-  EXPECT_EQ(nc.node_members[3], (std::vector<int>{3, 7}));
-  EXPECT_EQ(nc.my_node_index, 1);
+  EXPECT_EQ(nc.layout().leaders, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(nc.layout().node_members[1], (std::vector<int>{1, 5}));
+  EXPECT_EQ(nc.layout().node_members[3], (std::vector<int>{3, 7}));
+  EXPECT_EQ(nc.my_node_index(), 1);
   EXPECT_FALSE(nc.i_lead());
-  EXPECT_EQ(nc.node_comm.members(), (std::vector<int>{1, 5}));
+  EXPECT_EQ(nc.node_comm().members(), (std::vector<int>{1, 5}));
 }
 
 TEST(NodeComm, SpreadPolicyRotatesLeadersAcrossNodeLocals) {
@@ -82,7 +83,7 @@ TEST(NodeComm, SpreadPolicyRotatesLeadersAcrossNodeLocals) {
   world.run([&](mpi::Rank& self) {
     const auto nc = node_comm_of(self, node::LeaderPolicy::Spread);
     leader_of[static_cast<std::size_t>(self.rank())] =
-        nc.leaders[static_cast<std::size_t>(nc.my_node_index)];
+        nc.layout().leaders[static_cast<std::size_t>(nc.my_node_index())];
   });
   // Node n elects members[n % node_size]: 0, 3, 4, 7 — the leader role
   // rotates across core slots instead of always hitting core 0.
@@ -97,10 +98,10 @@ TEST(NodeComm, UnevenTailLeavesSingleRankNode) {
   });
   const auto& nc = ncs[6];
   EXPECT_EQ(nc.num_nodes(), 4);
-  EXPECT_EQ(nc.node_members[3], (std::vector<int>{6}));
+  EXPECT_EQ(nc.layout().node_members[3], (std::vector<int>{6}));
   EXPECT_TRUE(nc.i_lead());
-  EXPECT_EQ(nc.node_comm.size(), 1);
-  EXPECT_TRUE(nc.multi);  // other nodes still host pairs
+  EXPECT_EQ(nc.node_comm().size(), 1);
+  EXPECT_TRUE(nc.multi());  // other nodes still host pairs
 }
 
 TEST(NodeComm, ApplicabilityFollowsCohabitation) {
@@ -115,7 +116,7 @@ TEST(NodeComm, ApplicabilityFollowsCohabitation) {
         EXPECT_FALSE(node::two_level_active(mode, topo, self.comm_world()));
       }
       const auto nc = node_comm_of(self);
-      EXPECT_FALSE(nc.multi);
+      EXPECT_FALSE(nc.multi());
     });
   }
   {
@@ -148,11 +149,65 @@ TEST(NodeComm, SubCommunicatorUsesParentLocalRanks) {
                                          self.world().model().topology,
                                          node::LeaderPolicy::Lowest);
     EXPECT_EQ(nc.num_nodes(), 2);
-    EXPECT_EQ(nc.leaders, (std::vector<int>{0, 2}));  // parent locals
-    EXPECT_EQ(nc.node_members[0], (std::vector<int>{0, 1}));
-    EXPECT_EQ(nc.node_members[1], (std::vector<int>{2, 3}));
+    EXPECT_EQ(nc.layout().leaders, (std::vector<int>{0, 2}));  // parent locals
+    EXPECT_EQ(nc.layout().node_members[0], (std::vector<int>{0, 1}));
+    EXPECT_EQ(nc.layout().node_members[1], (std::vector<int>{2, 3}));
     EXPECT_EQ(nc.my_parent_local(), self.rank() - 4);
     EXPECT_EQ(nc.i_lead(), self.rank() == 4 || self.rank() == 6);
+  });
+}
+
+TEST(NodeComm, LayoutIsBuiltOncePerCommunicatorAndShared) {
+  auto world = make_world(8, Mapping::Block, 2);
+  std::vector<const node::NodeLayout*> first(8, nullptr);
+  std::vector<const node::NodeLayout*> second(8, nullptr);
+  std::vector<node::NodeComm> spread(8);
+  world.run([&](mpi::Rank& self) {
+    const auto r = static_cast<std::size_t>(self.rank());
+    const auto a = node_comm_of(self);
+    const auto b = node_comm_of(self);
+    first[r] = &a.layout();
+    second[r] = &b.layout();
+    spread[r] = node_comm_of(self, node::LeaderPolicy::Spread);
+  });
+  // Every rank, on both calls, holds the one layout of the world comm.
+  for (std::size_t r = 0; r < 8; ++r) {
+    EXPECT_EQ(first[r], first[0]) << r;
+    EXPECT_EQ(second[r], first[0]) << r;
+    EXPECT_EQ(&spread[r].layout(), &spread[0].layout()) << r;
+  }
+  // The leader policy is part of the key: Spread gets its own layout.
+  EXPECT_NE(&spread[0].layout(), first[0]);
+  EXPECT_EQ(spread[2].layout().leaders, (std::vector<int>{0, 3, 4, 7}));
+}
+
+TEST(NodeComm, ReusedContextIdWithOtherMembersGetsItsOwnLayout) {
+  // Two hand-made communicators share a context id but not their members.
+  // The second must not be served the first one's cached layout.
+  auto world = make_world(8, Mapping::Block, 2);
+  world.run([&](mpi::Rank& self) {
+    const auto& topo = self.world().model().topology;
+    const mpi::Comm low(0x9u, {0, 1, 2, 3});
+    const mpi::Comm high(0x9u, {2, 3, 4, 5, 6, 7});
+    if (self.rank() < 4) {
+      const auto nc =
+          node::make_node_comm(self, low, topo, node::LeaderPolicy::Lowest);
+      EXPECT_EQ(nc.parent().members(), low.members());
+      EXPECT_EQ(nc.layout().leaders, (std::vector<int>{0, 2}));
+      EXPECT_EQ(nc.leader_comm().members(), (std::vector<int>{0, 2}));
+    }
+    if (self.rank() >= 2) {
+      const auto nc =
+          node::make_node_comm(self, high, topo, node::LeaderPolicy::Lowest);
+      EXPECT_EQ(nc.parent().members(), high.members());
+      EXPECT_EQ(nc.num_nodes(), 3);
+      EXPECT_EQ(nc.layout().leaders, (std::vector<int>{0, 2, 4}));
+      EXPECT_EQ(nc.layout().node_members[2], (std::vector<int>{4, 5}));
+      EXPECT_EQ(nc.my_parent_local(), self.rank() - 2);
+      EXPECT_EQ(nc.leader_comm().members(), (std::vector<int>{2, 4, 6}));
+      const int base = self.rank() / 2 * 2;
+      EXPECT_EQ(nc.node_comm().members(), (std::vector<int>{base, base + 1}));
+    }
   });
 }
 
@@ -160,11 +215,20 @@ TEST(NodeComm, ToLeaderLocalsMapsAggregatorRosters) {
   auto world = make_world(8, Mapping::Block, 2);
   world.run([&](mpi::Rank& self) {
     const auto nc = node_comm_of(self);
+    const auto& layout = nc.layout();
     // Hosts of {0,1,2,5} are nodes {0,0,1,2} -> leader locals {0,1,2}.
-    EXPECT_EQ(nc.to_leader_locals({0, 1, 2, 5}), (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(nc.to_leader_locals({7}), (std::vector<int>{3}));
+    EXPECT_EQ(layout.to_leader_locals({0, 1, 2, 5}),
+              (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(layout.to_leader_locals({7}), (std::vector<int>{3}));
     // Output is sorted and deduplicated regardless of input order.
-    EXPECT_EQ(nc.to_leader_locals({5, 2, 4}), (std::vector<int>{1, 2}));
+    EXPECT_EQ(layout.to_leader_locals({5, 2, 4}), (std::vector<int>{1, 2}));
+    // shares_a_node says whether that mapping merges any entries.
+    EXPECT_TRUE(layout.shares_a_node({0, 1, 2, 5}));
+    EXPECT_TRUE(layout.shares_a_node({5, 2, 4}));
+    EXPECT_TRUE(layout.shares_a_node({3, 3}));
+    EXPECT_TRUE(layout.shares_a_node({0, 2, 4, 6, 1}));  // 5 > 4 nodes
+    EXPECT_FALSE(layout.shares_a_node({7, 0, 3}));
+    EXPECT_FALSE(layout.shares_a_node({}));
   });
 }
 
@@ -348,6 +412,54 @@ TEST(IntranodeEquivalence, SingleCoreNodesNeverActivate) {
   EXPECT_EQ(on.sum.total(), off.sum.total());
   EXPECT_EQ(on.stats.intranode_calls, 0u);
   EXPECT_EQ(on.stats.intranode_bytes, 0u);
+}
+
+// Golden values for runs that take the active two-level path (On, two
+// cores per node), captured before the node layout became a shared
+// per-communicator object. Any drift means the refactor changed a
+// scheduling decision, not just host cost.
+workloads::TileIOConfig pinned_tileio() {
+  workloads::TileIOConfig config;
+  config.tiles_x = 4;
+  config.tile_w = 16;
+  config.tile_h = 8;
+  config.elem_size = 8;
+  return config;
+}
+
+TEST(IntranodeGolden, Ext2phTileIoTwoLevelPinned) {
+  const auto got = workloads::run_tileio(
+      pinned_tileio(), 16,
+      byte_true_spec(workloads::Impl::Ext2ph, 0, node::IntranodeMode::On),
+      true);
+  EXPECT_TRUE(got.verified);
+  EXPECT_EQ(got.stats.intranode_calls, 1u);
+  EXPECT_EQ(got.elapsed, 0.015660757473317837);
+  EXPECT_EQ(got.total_elapsed, 0.016280757473317836);
+  EXPECT_EQ(got.sum[mpi::TimeCat::Intra], 5.5014400000000393e-05);
+  EXPECT_EQ(got.schedule_token, "p");
+  EXPECT_EQ(got.file_digest, 12821380317814191267ull);
+}
+
+TEST(IntranodeGolden, ParCollTileIoWithRankStallPinned) {
+  // The stall plan routes every subgroup through the re-election round
+  // (hier_allreduce_max over the subgroup's NodeComm) on top of the
+  // partition hier_allgather and the two-level exchange; Spread covers
+  // the second leader policy.
+  auto spec =
+      byte_true_spec(workloads::Impl::ParColl, 2, node::IntranodeMode::On);
+  spec.intranode_leader = node::LeaderPolicy::Spread;
+  spec.fault = fault::FaultPlan::parse(
+      "seed=5;rank-stall=0:0.005:1;agg-stall-threshold=0.001");
+  const auto got = workloads::run_tileio(pinned_tileio(), 16, spec, true);
+  EXPECT_TRUE(got.verified);
+  EXPECT_EQ(got.stats.parcoll_calls, 1u);
+  EXPECT_EQ(got.stats.intranode_calls, 1u);
+  EXPECT_EQ(got.elapsed, 1.0113359355988818);
+  EXPECT_EQ(got.total_elapsed, 1.0119559355988819);
+  EXPECT_EQ(got.sum[mpi::TimeCat::Intra], 5.5014400000000393e-05);
+  EXPECT_EQ(got.schedule_token, "p");
+  EXPECT_EQ(got.file_digest, 12821380317814191267ull);
 }
 
 }  // namespace
