@@ -1,8 +1,8 @@
 #include "core/parcoll.hpp"
 
 #include <cstring>
+#include <optional>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "bb/staging.hpp"
@@ -60,8 +60,6 @@ std::uint64_t roster_hash(double agreed, const std::vector<int>& roster) {
   return h;
 }
 
-using Ext2phOutcomePair = std::pair<std::uint64_t, std::uint64_t>;
-
 RankAccess access_of(const mpiio::PreparedRequest& request) {
   RankAccess access;
   if (!request.extents.empty()) {
@@ -70,26 +68,6 @@ RankAccess access_of(const mpiio::PreparedRequest& request) {
   }
   access.bytes = request.bytes;
   return access;
-}
-
-/// The per-handle cached partition: established by the first ParColl call
-/// after a view is set, reused by later calls so that subgroups only ever
-/// synchronize among themselves and drift independently through time.
-struct PlanCache {
-  SubgroupPlan plan;
-};
-
-Ext2phOutcomePair run_ext2ph(mpi::Rank& self, const mpi::Comm& comm,
-                             mpiio::IoTarget& target,
-                             const mpiio::CollRequest& request,
-                             const mpiio::Ext2phOptions& options,
-                             bool is_write) {
-  const auto result = is_write
-                          ? mpiio::ext2ph_write(self, comm, target, request,
-                                                options)
-                          : mpiio::ext2ph_read(self, comm, target, request,
-                                               options);
-  return {result.cycles, result.rmw_reads};
 }
 
 /// Run one two-phase exchange over `comm`, either flat or — when the
@@ -112,25 +90,76 @@ void run_two_phase(mpi::Rank& self, const mpi::Comm& comm,
     // leaders, so a roster with several aggregators on one node (e.g. the
     // Catamount every-process default) would lose I/O parallelism to buy
     // the coordination win. Auto declines then; On trusts the user.
-    if (hints.cb_intranode == node::IntranodeMode::Auto &&
-        nodes.layout().shares_a_node(options.aggregators)) {
-      std::tie(outcome.cycles, outcome.rmw_reads) =
-          run_ext2ph(self, comm, target, request, options, is_write);
+    const bool declined = hints.cb_intranode == node::IntranodeMode::Auto &&
+                          nodes.layout().shares_a_node(options.aggregators);
+    if (!declined) {
+      options.aggregators =
+          nodes.layout().to_leader_locals(options.aggregators);
+      const node::TwoLevelOutcome staged =
+          is_write
+              ? node::two_level_write(self, nodes, target, request, options)
+              : node::two_level_read(self, nodes, target, request, options);
+      outcome.cycles = staged.exchange.cycles;
+      outcome.rmw_reads = staged.exchange.rmw_reads;
+      outcome.intra_bytes = staged.intra_bytes;
+      outcome.two_level = true;
       return;
     }
-    options.aggregators = nodes.layout().to_leader_locals(options.aggregators);
-    const auto result =
-        is_write
-            ? node::two_level_write(self, nodes, target, request, options)
-            : node::two_level_read(self, nodes, target, request, options);
-    outcome.cycles = result.cycles;
-    outcome.rmw_reads = result.rmw_reads;
-    outcome.intra_bytes = result.intra_bytes;
-    outcome.two_level = true;
-    return;
   }
-  std::tie(outcome.cycles, outcome.rmw_reads) =
-      run_ext2ph(self, comm, target, request, options, is_write);
+  const mpiio::Ext2phOutcome flat =
+      is_write ? mpiio::ext2ph_write(self, comm, target, request, options)
+               : mpiio::ext2ph_read(self, comm, target, request, options);
+  outcome.cycles = flat.cycles;
+  outcome.rmw_reads = flat.rmw_reads;
+}
+
+/// The call's subgroup plan. The first ParColl call after a view is set
+/// establishes it and caches it in `cache_slot`; later calls reuse it, so
+/// subgroups only ever synchronize among themselves and drift independently
+/// through time. A null slot (split collectives' helper fibers) plans
+/// afresh on every call.
+std::shared_ptr<const SubgroupPlan> subgroup_plan(
+    mpi::Rank& self, const mpi::Comm& comm, const mpiio::Hints& hints,
+    const mpiio::PreparedRequest& prep, std::shared_ptr<void>* cache_slot) {
+  if (cache_slot != nullptr && *cache_slot != nullptr &&
+      hints.parcoll_persistent_groups) {
+    return std::static_pointer_cast<const SubgroupPlan>(*cache_slot);
+  }
+  // Only the establishing call pays a global exchange. The
+  // pattern-detection allgather is the one remaining global exchange;
+  // under two-level staging it funnels through the node leaders, so the
+  // inter-node stage involves num_nodes participants instead of P.
+  mpi::SpanGuard partition_span(self, obs::SpanKind::Stage, "partition");
+  const machine::Topology& topo = self.world().model().topology;
+  const auto accesses =
+      node::two_level_active(hints.cb_intranode, topo, comm)
+          ? std::make_shared<const std::vector<RankAccess>>(
+                node::hier_allgather(
+                    self,
+                    node::make_node_comm(self, comm, topo,
+                                         hints.cb_intranode_leader),
+                    access_of(prep)))
+          : mpi::allgather_shared(self, comm, access_of(prep));
+  auto plan =
+      std::make_shared<SubgroupPlan>(form_subgroups(self, comm, accesses, hints));
+  if (plan->fa().mode == PartitionMode::Direct) {
+    // Establishing-call invariant: my extents lie in my File Area (the
+    // partition was built from clean split points).
+    const auto [fa_lo, fa_hi] =
+        plan->fa().areas[static_cast<std::size_t>(plan->my_group)];
+    if (!prep.extents.empty() && (prep.extents.front().offset < fa_lo ||
+                                  prep.extents.back().end() > fa_hi)) {
+      throw std::logic_error("parcoll: request escapes its File Area");
+    }
+  }
+  if (cache_slot != nullptr) {
+    *cache_slot = plan;
+  }
+  if (auto* checker = self.world().checker()) {
+    checker->on_partition(self.rank(), comm.context_id(), comm.size(),
+                          plan_hash(*plan));
+  }
+  return plan;
 }
 
 }  // namespace
@@ -190,84 +219,23 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
     return outcome;
   }
 
-  const ParcollSettings settings = ParcollSettings::from(hints);
-  if (!settings.enabled()) {
-    // Plain extended two-phase over the whole group (the baseline).
+  // Without ParColl: plain extended two-phase over the whole group (the
+  // baseline). With it, everything from the plan on runs subgroup-local,
+  // and the span labels descendants (re-election, exchange cycles, I/O)
+  // with this rank's subgroup.
+  std::shared_ptr<const SubgroupPlan> plan;
+  std::optional<mpi::SpanGuard> subgroup_span;
+  if (!ParcollSettings::from(hints).enabled()) {
     options.aggregators = mpiio::default_aggregators(
         self.world().model().topology, comm, hints);
-    bb::BbTarget target(fs, fs_id, bb_store.get());
-    const mpiio::CollRequest request{prep.extents, prep.data()};
-    run_two_phase(self, comm, hints, target, request, options, is_write,
-                  outcome);
-    return outcome;
+  } else {
+    plan = subgroup_plan(self, comm, hints, prep, cache_slot);
+    outcome.mode = plan->fa().mode;
+    outcome.num_groups = plan->fa().num_groups;
+    options.aggregators = plan->sub_aggregators;
+    subgroup_span.emplace(self, obs::SpanKind::Subgroup, "subgroup",
+                          plan->my_group);
   }
-
-  // Establish (or reuse) the partition. Only the establishing call pays a
-  // global exchange; with persistent groups, later calls on the same view
-  // go straight to their subgroup.
-  std::shared_ptr<PlanCache> cache;
-  if (cache_slot != nullptr) {
-    cache = std::static_pointer_cast<PlanCache>(*cache_slot);
-  }
-  if (!cache || !hints.parcoll_persistent_groups) {
-    // The pattern-detection allgather is the one remaining global exchange;
-    // under two-level staging it funnels through the node leaders, so the
-    // inter-node stage involves num_nodes participants instead of P.
-    mpi::SpanGuard partition_span(self, obs::SpanKind::Stage, "partition");
-    const machine::Topology& topo = self.world().model().topology;
-    const auto accesses =
-        node::two_level_active(hints.cb_intranode, topo, comm)
-            ? std::make_shared<const std::vector<RankAccess>>(
-                  node::hier_allgather(
-                      self,
-                      node::make_node_comm(self, comm, topo,
-                                           hints.cb_intranode_leader),
-                      access_of(prep)))
-            : mpi::allgather_shared(self, comm, access_of(prep));
-    auto fresh = std::make_shared<PlanCache>();
-    fresh->plan = form_subgroups(self, comm, accesses, hints);
-    if (fresh->plan.fa().mode == PartitionMode::Direct) {
-      // Establishing-call invariant: my extents lie in my File Area (the
-      // partition was built from clean split points).
-      const auto [fa_lo, fa_hi] =
-          fresh->plan.fa()
-              .areas[static_cast<std::size_t>(fresh->plan.my_group)];
-      if (!prep.extents.empty() &&
-          (prep.extents.front().offset < fa_lo ||
-           prep.extents.back().end() > fa_hi)) {
-        throw std::logic_error("parcoll: request escapes its File Area");
-      }
-    }
-    cache = fresh;
-    if (cache_slot != nullptr) {
-      *cache_slot = cache;
-    }
-    if (auto* checker = self.world().checker()) {
-      checker->on_partition(self.rank(), comm.context_id(), comm.size(),
-                            plan_hash(fresh->plan));
-    }
-  }
-  const SubgroupPlan& plan = cache->plan;
-  outcome.mode = plan.fa().mode;
-  outcome.num_groups = plan.fa().num_groups;
-  options.aggregators = plan.sub_aggregators;
-  // Everything from here runs subgroup-local; the span labels descendants
-  // (re-election, exchange cycles, I/O) with this rank's subgroup.
-  mpi::SpanGuard subgroup_span(self, obs::SpanKind::Subgroup, "subgroup",
-                               plan.my_group);
-  // Per-subgroup call/cycle counters, recorded once per call by the
-  // subgroup's first rank (mirrors the FileStats call-level convention).
-  auto record_group_metrics = [&](const CollectiveOutcome& out) {
-    auto* metrics = self.world().metrics();
-    if (metrics == nullptr ||
-        plan.subcomm.local_rank(self.rank()) != 0) {
-      return;
-    }
-    const auto group = static_cast<std::size_t>(
-        plan.my_group >= 0 ? plan.my_group : 0);
-    ++metrics->counter("parcoll.group.calls", group);
-    metrics->counter("parcoll.group.cycles", group) += out.cycles;
-  };
 
   // Degraded mode: when the fault plan schedules rank stalls, the subgroup
   // agrees on a common time (a max-reduction over its members' clocks) and
@@ -276,84 +244,82 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   // on the next call. Gated on has_rank_stalls() so the extra reduction
   // cannot perturb fault-free timing.
   const fault::FaultPlan* fplan = self.world().fault_plan();
-  if (fplan != nullptr && fplan->has_rank_stalls()) {
+  if (plan != nullptr && fplan != nullptr && fplan->has_rank_stalls()) {
     mpi::SpanGuard reelect_span(self, obs::SpanKind::Stage, "reelect");
     const machine::Topology& topo = self.world().model().topology;
     const double agreed =
-        node::two_level_active(hints.cb_intranode, topo, plan.subcomm)
+        node::two_level_active(hints.cb_intranode, topo, plan->subcomm)
             ? node::hier_allreduce_max(
                   self,
-                  node::make_node_comm(self, plan.subcomm, topo,
+                  node::make_node_comm(self, plan->subcomm, topo,
                                        hints.cb_intranode_leader),
                   self.now())
-            : mpi::allreduce_max(self, plan.subcomm, self.now());
+            : mpi::allreduce_max(self, plan->subcomm, self.now());
     int replaced = 0;
     options.aggregators = reelect_stalled_aggregators(
-        plan.subcomm, plan.sub_aggregators, *fplan, agreed, &replaced);
+        plan->subcomm, plan->sub_aggregators, *fplan, agreed, &replaced);
     if (auto* checker = self.world().checker()) {
-      checker->on_reelection(self.rank(), plan.subcomm.context_id(),
-                             plan.subcomm.size(),
+      checker->on_reelection(self.rank(), plan->subcomm.context_id(),
+                             plan->subcomm.size(),
                              roster_hash(agreed, options.aggregators));
     }
-    if (replaced > 0 && plan.subcomm.local_rank(self.rank()) == 0) {
+    if (replaced > 0 && plan->subcomm.local_rank(self.rank()) == 0) {
       self.world().fault_state().of(self.rank()).reelections +=
           static_cast<std::uint64_t>(replaced);
     }
   }
 
-  if (plan.fa().mode == PartitionMode::SingleGroup) {
-    bb::BbTarget target(fs, fs_id, bb_store.get());
-    const mpiio::CollRequest request{prep.extents, prep.data()};
-    run_two_phase(self, comm, hints, target, request, options, is_write,
-                  outcome);
-    record_group_metrics(outcome);
-    return outcome;
-  }
-
-  if (plan.fa().mode == PartitionMode::Direct) {
-    bb::BbTarget target(fs, fs_id, bb_store.get());
-    const mpiio::CollRequest request{prep.extents, prep.data()};
-    run_two_phase(self, plan.subcomm, hints, target, request, options,
-                  is_write, outcome);
-    record_group_metrics(outcome);
-    return outcome;
-  }
-
-  // Intermediate view (pattern c). Share the members' physical extents
-  // within the subgroup so aggregators can resolve intermediate ranges.
-  // The intermediate coordinate space is subgroup-local (each group's
-  // space starts at 0): groups touch disjoint physical segments, so their
-  // spaces are independent and no global exchange is needed per call.
-  const auto member_extents =
-      mpi::allgatherv(self, plan.subcomm, prep.extents);
-  std::vector<MemberSegments> members;
-  members.reserve(member_extents.size());
-  std::uint64_t inter_pos = 0;
-  std::uint64_t my_inter_start = 0;
-  const int sub_me = plan.subcomm.local_rank(self.rank());
-  for (int sub_local = 0; sub_local < plan.subcomm.size(); ++sub_local) {
-    MemberSegments member;
-    member.inter_start = inter_pos;
-    member.extents = member_extents[static_cast<std::size_t>(sub_local)];
-    if (sub_local == sub_me) {
-      my_inter_start = inter_pos;
-    }
-    for (const fs::Extent& extent : member.extents) {
-      inter_pos += extent.length;
-    }
-    members.push_back(std::move(member));
-  }
   bb::BbTarget physical(fs, fs_id, bb_store.get());
-  IntermediateTarget target(physical, IntermediateMap(std::move(members)));
-
-  mpiio::CollRequest request;
-  if (prep.bytes > 0) {
-    request.extents.push_back(fs::Extent{my_inter_start, prep.bytes});
+  mpiio::CollRequest request{{}, prep.data()};
+  std::optional<IntermediateTarget> intermediate;
+  if (plan != nullptr && plan->fa().mode == PartitionMode::Intermediate) {
+    // Intermediate view (pattern c). Share the members' physical extents
+    // within the subgroup so aggregators can resolve intermediate ranges.
+    // The intermediate coordinate space is subgroup-local (each group's
+    // space starts at 0): groups touch disjoint physical segments, so their
+    // spaces are independent and no global exchange is needed per call.
+    const auto member_extents =
+        mpi::allgatherv(self, plan->subcomm, prep.extents);
+    std::vector<MemberSegments> members;
+    members.reserve(member_extents.size());
+    std::uint64_t inter_pos = 0;
+    std::uint64_t my_inter_start = 0;
+    const int sub_me = plan->subcomm.local_rank(self.rank());
+    for (int sub_local = 0; sub_local < plan->subcomm.size(); ++sub_local) {
+      MemberSegments member;
+      member.inter_start = inter_pos;
+      member.extents = member_extents[static_cast<std::size_t>(sub_local)];
+      if (sub_local == sub_me) {
+        my_inter_start = inter_pos;
+      }
+      for (const fs::Extent& extent : member.extents) {
+        inter_pos += extent.length;
+      }
+      members.push_back(std::move(member));
+    }
+    intermediate.emplace(physical, IntermediateMap(std::move(members)));
+    if (prep.bytes > 0) {
+      request.extents.push_back(fs::Extent{my_inter_start, prep.bytes});
+    }
+  } else {
+    request.extents = prep.extents;
   }
-  request.data = prep.data();
-  run_two_phase(self, plan.subcomm, hints, target, request, options, is_write,
-                outcome);
-  record_group_metrics(outcome);
+  mpiio::IoTarget& target =
+      intermediate ? static_cast<mpiio::IoTarget&>(*intermediate) : physical;
+  // SingleGroup's subcomm is the parent comm itself.
+  run_two_phase(self, plan != nullptr ? plan->subcomm : comm, hints, target,
+                request, options, is_write, outcome);
+
+  // Per-subgroup call/cycle counters, recorded once per call by the
+  // subgroup's first rank (mirrors the FileStats call-level convention).
+  auto* metrics = self.world().metrics();
+  if (plan != nullptr && metrics != nullptr &&
+      plan->subcomm.local_rank(self.rank()) == 0) {
+    const auto group =
+        static_cast<std::size_t>(plan->my_group >= 0 ? plan->my_group : 0);
+    ++metrics->counter("parcoll.group.calls", group);
+    metrics->counter("parcoll.group.cycles", group) += outcome.cycles;
+  }
   return outcome;
 }
 
@@ -388,6 +354,32 @@ void agree_on_errors(mpiio::FileHandle& file) {
 }
 }  // namespace
 
+void book_collective_call(mpiio::FileHandle& file,
+                          const CollectiveOutcome& outcome,
+                          const mpi::TimeBreakdown& time,
+                          const fault::FaultCounters& faults,
+                          std::uint64_t mpiio::FileStats::*bytes,
+                          std::uint64_t mpiio::FileStats::*calls) {
+  mpiio::FileStats delta;
+  delta.time = time;
+  delta.faults = faults;
+  delta.*bytes = outcome.bytes;
+  delta.exchange_cycles = outcome.cycles;
+  delta.rmw_reads = outcome.rmw_reads;
+  delta.intranode_bytes = outcome.intra_bytes;
+  // Call-level counters are recorded once per collective call, by the
+  // call's first rank; per-rank quantities (time, bytes, cycles) sum.
+  if (file.comm().local_rank(file.self().rank()) == 0) {
+    delta.*calls = 1;
+    delta.intranode_calls = outcome.two_level ? 1 : 0;
+    delta.parcoll_calls =
+        ParcollSettings::from(file.hints()).enabled() ? 1 : 0;
+    delta.view_switches = outcome.mode == PartitionMode::Intermediate ? 1 : 0;
+    delta.last_num_groups = outcome.num_groups;
+  }
+  file.add_stats(delta);
+}
+
 CollectiveOutcome write_at_all(mpiio::FileHandle& file, std::uint64_t offset,
                                const void* buffer, std::uint64_t count,
                                const dtype::Datatype& memtype) {
@@ -408,27 +400,13 @@ CollectiveOutcome write_at_all(mpiio::FileHandle& file, std::uint64_t offset,
   const CollectiveOutcome outcome = run_partitioned(file, prep, true);
   agree_on_errors(file);
 
-  mpiio::FileStats delta;
-  delta.time = mpiio::FileHandle::time_delta(before, file.time_snapshot());
   // A rank's fault counters only change while its own fiber runs, so the
   // difference is this call's degraded-mode events.
-  delta.faults =
-      file.self().world().fault_counters(file.self().rank()) - faults_before;
-  delta.bytes_written = outcome.bytes;
-  delta.exchange_cycles = outcome.cycles;
-  delta.rmw_reads = outcome.rmw_reads;
-  delta.intranode_bytes = outcome.intra_bytes;
-  // Call-level counters are recorded once per collective call, by the
-  // call's first rank; per-rank quantities (time, bytes, cycles) sum.
-  if (file.comm().local_rank(file.self().rank()) == 0) {
-    delta.collective_writes = 1;
-    delta.intranode_calls = outcome.two_level ? 1 : 0;
-    delta.parcoll_calls =
-        ParcollSettings::from(file.hints()).enabled() ? 1 : 0;
-    delta.view_switches = outcome.mode == PartitionMode::Intermediate ? 1 : 0;
-    delta.last_num_groups = outcome.num_groups;
-  }
-  file.add_stats(delta);
+  book_collective_call(
+      file, outcome,
+      mpiio::FileHandle::time_delta(before, file.time_snapshot()),
+      file.self().world().fault_counters(file.self().rank()) - faults_before,
+      &mpiio::FileStats::bytes_written, &mpiio::FileStats::collective_writes);
   return outcome;
 }
 
@@ -459,23 +437,11 @@ CollectiveOutcome read_at_all(mpiio::FileHandle& file, std::uint64_t offset,
   agree_on_errors(file);
   file.finish_read(prep, buffer, count, memtype);
 
-  mpiio::FileStats delta;
-  delta.time = mpiio::FileHandle::time_delta(before, file.time_snapshot());
-  delta.faults =
-      file.self().world().fault_counters(file.self().rank()) - faults_before;
-  delta.bytes_read = outcome.bytes;
-  delta.exchange_cycles = outcome.cycles;
-  delta.rmw_reads = outcome.rmw_reads;
-  delta.intranode_bytes = outcome.intra_bytes;
-  if (file.comm().local_rank(file.self().rank()) == 0) {
-    delta.collective_reads = 1;
-    delta.intranode_calls = outcome.two_level ? 1 : 0;
-    delta.parcoll_calls =
-        ParcollSettings::from(file.hints()).enabled() ? 1 : 0;
-    delta.view_switches = outcome.mode == PartitionMode::Intermediate ? 1 : 0;
-    delta.last_num_groups = outcome.num_groups;
-  }
-  file.add_stats(delta);
+  book_collective_call(
+      file, outcome,
+      mpiio::FileHandle::time_delta(before, file.time_snapshot()),
+      file.self().world().fault_counters(file.self().rank()) - faults_before,
+      &mpiio::FileStats::bytes_read, &mpiio::FileStats::collective_reads);
   return outcome;
 }
 

@@ -63,6 +63,18 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
                                         bool is_write,
                                         std::shared_ptr<void>* cache_slot);
 
+/// Book one collective call's FileStats delta on `file`: its virtual
+/// `time` and degraded-mode `faults`, the outcome's per-rank counters, and
+/// — on the communicator's first rank only — the call-level counters.
+/// `bytes` and `calls` are the direction's fields (bytes_written and
+/// collective_writes, or bytes_read and collective_reads).
+void book_collective_call(mpiio::FileHandle& file,
+                          const CollectiveOutcome& outcome,
+                          const mpi::TimeBreakdown& time,
+                          const fault::FaultCounters& faults,
+                          std::uint64_t mpiio::FileStats::*bytes,
+                          std::uint64_t mpiio::FileStats::*calls);
+
 /// The partitioning decision the hints + this request would produce, from
 /// the calling rank's perspective — runs the same collective planning
 /// steps, so it must be called by every member. For introspection.

@@ -95,28 +95,19 @@ CollectiveOutcome split_end(mpiio::FileHandle& file, SplitRequest& request) {
     self.engine().suspend("split collective end");
     self.times().add(mpi::TimeCat::Sync, self.now() - blocked_at);
   }
-  if (!state.is_write) {
+  // The progress thread's work is the call's time; its degraded-mode
+  // events are not attributed to the call.
+  if (state.is_write) {
+    book_collective_call(file, state.outcome, state.helper_time, {},
+                         &mpiio::FileStats::bytes_written,
+                         &mpiio::FileStats::collective_writes);
+  } else {
     file.finish_read(state.prep, state.user_buffer, state.count,
                      state.memtype);
+    book_collective_call(file, state.outcome, state.helper_time, {},
+                         &mpiio::FileStats::bytes_read,
+                         &mpiio::FileStats::collective_reads);
   }
-
-  mpiio::FileStats delta;
-  delta.time = state.helper_time;  // the progress thread's work
-  if (state.is_write) {
-    delta.bytes_written = state.prep.bytes;
-  } else {
-    delta.bytes_read = state.prep.bytes;
-  }
-  delta.exchange_cycles = state.outcome.cycles;
-  delta.rmw_reads = state.outcome.rmw_reads;
-  if (file.comm().local_rank(self.rank()) == 0) {
-    if (state.is_write) {
-      delta.collective_writes = 1;
-    } else {
-      delta.collective_reads = 1;
-    }
-  }
-  file.add_stats(delta);
   const CollectiveOutcome outcome = state.outcome;
   request.state_.reset();
   return outcome;

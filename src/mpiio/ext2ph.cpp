@@ -62,10 +62,13 @@ std::vector<fs::Extent> clip_extents(const std::vector<fs::Extent>& extents,
   return out;
 }
 
-/// Trivially copyable covered-range record for the st_loc/end_loc Allgather.
-struct CoveredLoc {
+/// A half-open byte range [st, end). Trivially copyable: it is the record of
+/// the st/end and st_loc/end_loc Allgathers as well as a cycle's window.
+struct Range {
   std::uint64_t st = 0;
   std::uint64_t end = 0;
+
+  [[nodiscard]] bool empty() const { return st >= end; }
 };
 
 /// Everything both directions of the protocol share: the result of phases
@@ -77,22 +80,24 @@ struct Plan {
   std::uint64_t min_st = 0;
   std::uint64_t max_end = 0;
   std::uint64_t fd_len = 0;
+  std::uint64_t cb_buffer_size = 0;
   std::uint64_t ntimes = 0;
   int my_agg_index = -1;  // index into options.aggregators, or -1
+  /// Aggregators whose domains my request touches: a_lo..a_hi (empty when
+  /// a_lo > a_hi).
+  int a_lo = 0;
+  int a_hi = -1;
   /// Covered range [st_loc, end_loc) of each aggregator's file domain —
   /// the first/last byte actually requested there (ROMIO's st_loc/end_loc).
   /// Windows walk this range, not the whole domain, so sparse requests do
   /// not spin through empty cycles. Identical on every rank, so all of
   /// them share one copy (a private naggs-sized vector per rank is
   /// quadratic when every process aggregates on a wide comm).
-  std::shared_ptr<const std::vector<CoveredLoc>> loc_shared;
+  std::shared_ptr<const std::vector<Range>> loc_shared;
   std::vector<std::uint64_t> prefix;  // stream prefix of my extents
   // Aggregator side: per source local rank, its extents within my domain.
   std::vector<std::vector<fs::Extent>> others;
 
-  [[nodiscard]] const CoveredLoc& loc(std::size_t a) const {
-    return (*loc_shared)[a];
-  }
   [[nodiscard]] std::uint64_t fd_start(int a) const {
     return std::min(max_end, min_st + static_cast<std::uint64_t>(a) * fd_len);
   }
@@ -106,17 +111,20 @@ struct Plan {
     const auto a = static_cast<int>((offset - min_st) / fd_len);
     return std::min(a, naggs - 1);
   }
+  /// Aggregator `a`'s window in cycle `t`: the t-th cb_buffer_size slice of
+  /// its covered range, clipped to the covered end. Empty once past it.
+  [[nodiscard]] Range window(int a, std::uint64_t t) const {
+    const Range& loc = (*loc_shared)[static_cast<std::size_t>(a)];
+    if (loc.empty()) return {};
+    const std::uint64_t lo = loc.st + t * cb_buffer_size;
+    return {lo, std::min(loc.end, lo + cb_buffer_size)};
+  }
 };
 
-struct RankRange {
-  std::uint64_t st;
-  std::uint64_t end;
-};
-
-
-
+/// Phases 1-3, traced as the "plan" stage.
 Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
                const CollRequest& request, const Ext2phOptions& options) {
+  mpi::SpanGuard plan_span(self, obs::SpanKind::Stage, "plan");
   if (options.aggregators.empty()) {
     throw std::invalid_argument("ext2ph: aggregator list must not be empty");
   }
@@ -127,10 +135,11 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
   Plan plan;
   plan.nranks = comm.size();
   plan.me = comm.local_rank(self.rank());
+  plan.cb_buffer_size = options.cb_buffer_size;
   const int naggs = static_cast<int>(options.aggregators.size());
 
   // Phase 1: file-range gathering.
-  RankRange mine{std::numeric_limits<std::uint64_t>::max(), 0};
+  Range mine{std::numeric_limits<std::uint64_t>::max(), 0};
   if (!request.extents.empty()) {
     mine.st = request.extents.front().offset;
     mine.end = request.extents.back().end();
@@ -139,23 +148,19 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
   // the P ranges runs once and every rank reads the two shared scalars.
   const auto all_ranges = mpi::coll_run(self, comm, mpi::CollKind::Allgather,
                                         mpi::detail::to_bytes(mine));
-  struct FileBounds {
-    std::uint64_t min_st = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t max_end = 0;
-  };
-  const auto bounds = mpi::shared_once<FileBounds>(self, comm, [&] {
-    FileBounds folded;
+  const auto bounds = mpi::shared_once<Range>(self, comm, [&] {
+    Range folded{std::numeric_limits<std::uint64_t>::max(), 0};
     for (const auto& contribution : *all_ranges) {
-      const RankRange range = mpi::detail::scalar_from<RankRange>(contribution);
-      if (range.end > range.st) {  // rank actually has data
-        folded.min_st = std::min(folded.min_st, range.st);
-        folded.max_end = std::max(folded.max_end, range.end);
+      const Range range = mpi::detail::scalar_from<Range>(contribution);
+      if (!range.empty()) {  // rank actually has data
+        folded.st = std::min(folded.st, range.st);
+        folded.end = std::max(folded.end, range.end);
       }
     }
     return folded;
   });
-  plan.min_st = bounds->min_st;
-  plan.max_end = bounds->max_end;
+  plan.min_st = bounds->st;
+  plan.max_end = bounds->end;
   if (plan.max_end <= plan.min_st) {
     return plan;  // nothing to do anywhere; every rank agrees
   }
@@ -190,9 +195,9 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
   std::vector<std::uint32_t> counts(static_cast<std::size_t>(plan.nranks), 0);
   std::vector<std::pair<int, std::vector<fs::Extent>>> outgoing;
   if (!request.extents.empty()) {
-    const int a_lo = plan.agg_of(mine.st, naggs);
-    const int a_hi = plan.agg_of(mine.end - 1, naggs);
-    for (int a = a_lo; a <= a_hi; ++a) {
+    plan.a_lo = plan.agg_of(mine.st, naggs);
+    plan.a_hi = plan.agg_of(mine.end - 1, naggs);
+    for (int a = plan.a_lo; a <= plan.a_hi; ++a) {
       auto pieces = clip_extents(request.extents, plan.fd_start(a),
                                  plan.fd_end(a));
       if (!pieces.empty()) {
@@ -231,7 +236,7 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
   // Covered range of my domain (st_loc/end_loc), from the received request
   // lists; Allgather so every rank can compute every aggregator's windows,
   // and derive the interleaving depth (max cycles over aggregators).
-  CoveredLoc my_loc{std::numeric_limits<std::uint64_t>::max(), 0};
+  Range my_loc{std::numeric_limits<std::uint64_t>::max(), 0};
   if (plan.my_agg_index >= 0) {
     for (const auto& list : plan.others) {
       if (list.empty()) continue;
@@ -241,27 +246,71 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
   }
   const auto all_locs = mpi::coll_run(self, comm, mpi::CollKind::Allgather,
                                       mpi::detail::to_bytes(my_loc));
-  plan.loc_shared =
-      mpi::shared_once<std::vector<CoveredLoc>>(self, comm, [&] {
-        std::vector<CoveredLoc> table;
-        table.reserve(options.aggregators.size());
-        for (int agg_rank : options.aggregators) {
-          table.push_back(mpi::detail::scalar_from<CoveredLoc>(
-              (*all_locs)[static_cast<std::size_t>(agg_rank)]));
-        }
-        return table;
-      });
-  std::uint64_t max_ntimes = 0;
-  for (const CoveredLoc& loc : *plan.loc_shared) {
-    if (loc.end > loc.st) {
-      max_ntimes = std::max(
-          max_ntimes,
-          (loc.end - loc.st + options.cb_buffer_size - 1) /
-              options.cb_buffer_size);
+  plan.loc_shared = mpi::shared_once<std::vector<Range>>(self, comm, [&] {
+    std::vector<Range> table;
+    table.reserve(options.aggregators.size());
+    for (int agg_rank : options.aggregators) {
+      table.push_back(mpi::detail::scalar_from<Range>(
+          (*all_locs)[static_cast<std::size_t>(agg_rank)]));
+    }
+    return table;
+  });
+  for (const Range& loc : *plan.loc_shared) {
+    if (!loc.empty()) {
+      plan.ntimes = std::max(plan.ntimes,
+                             (loc.end - loc.st + plan.cb_buffer_size - 1) /
+                                 plan.cb_buffer_size);
     }
   }
-  plan.ntimes = max_ntimes;
   return plan;
+}
+
+/// This rank's part of one cycle: for each aggregator whose window holds
+/// some of my request, the pieces and their byte total, plus the size
+/// vector (bytes per comm rank) for the cycle's Alltoall.
+struct CycleShares {
+  struct Share {
+    int rank;  // the aggregator's local rank
+    std::vector<Piece> pieces;
+    std::uint64_t bytes;
+  };
+  std::vector<Share> shares;
+  std::vector<std::uint32_t> sizes;
+};
+
+CycleShares cycle_shares(const Plan& plan, const CollRequest& request,
+                         const Ext2phOptions& options, std::uint64_t t) {
+  CycleShares cycle;
+  cycle.sizes.assign(static_cast<std::size_t>(plan.nranks), 0);
+  for (int a = plan.a_lo; a <= plan.a_hi; ++a) {
+    const Range win = plan.window(a, t);
+    if (win.empty()) continue;
+    auto pieces = clip_stream(request.extents, plan.prefix, win.st, win.end);
+    if (pieces.empty()) continue;
+    std::uint64_t bytes = 0;
+    for (const Piece& piece : pieces) bytes += piece.length;
+    const int agg_rank = options.aggregators[static_cast<std::size_t>(a)];
+    cycle.sizes[static_cast<std::size_t>(agg_rank)] =
+        static_cast<std::uint32_t>(bytes);
+    cycle.shares.push_back({agg_rank, std::move(pieces), bytes});
+  }
+  return cycle;
+}
+
+/// Run `step(t)` for each of the plan's cycles inside a "cycle" span,
+/// observing each cycle's duration as coll.cycle_s. Returns the count.
+template <typename Step>
+std::uint64_t for_each_cycle(mpi::Rank& self, const Plan& plan, Step&& step) {
+  for (std::uint64_t t = 0; t < plan.ntimes; ++t) {
+    const double cycle_begin = self.now();
+    mpi::SpanGuard cycle_span(self, obs::SpanKind::Stage, "cycle",
+                              /*group=*/-1, static_cast<std::int64_t>(t));
+    step(t);
+    if (auto* metrics = self.world().metrics()) {
+      metrics->quantile("coll.cycle_s").observe(self.now() - cycle_begin);
+    }
+  }
+  return plan.ntimes;
 }
 
 /// Merge the per-source window pieces an aggregator will handle this cycle.
@@ -281,14 +330,18 @@ struct WindowWork {
   [[nodiscard]] bool has_holes() const { return total != hi - lo; }
 };
 
+/// The aggregator's work in its cycle-`t` window: every source's pieces
+/// there, checked against the sizes that source announced.
 WindowWork gather_window_work(const Plan& plan,
                               const std::vector<std::uint32_t>& sizes,
-                              std::uint64_t win_lo, std::uint64_t win_hi) {
+                              std::uint64_t t) {
   WindowWork work;
+  const Range win = plan.window(plan.my_agg_index, t);
+  if (win.empty()) return work;
   for (int r = 0; r < plan.nranks; ++r) {
     if (sizes[static_cast<std::size_t>(r)] == 0) continue;
     const auto pieces =
-        clip_extents(plan.others[static_cast<std::size_t>(r)], win_lo, win_hi);
+        clip_extents(plan.others[static_cast<std::size_t>(r)], win.st, win.end);
     std::uint64_t msg_pos = 0;
     for (const fs::Extent& piece : pieces) {
       work.entries.push_back(
@@ -390,56 +443,23 @@ Ext2phOutcome ext2ph_write(mpi::Rank& self, const mpi::Comm& comm,
                            IoTarget& target, const CollRequest& request,
                            const Ext2phOptions& options) {
   Ext2phOutcome outcome;
-  const Plan plan = [&] {
-    mpi::SpanGuard plan_span(self, obs::SpanKind::Stage, "plan");
-    return make_plan(self, comm, request, options);
-  }();
+  const Plan plan = make_plan(self, comm, request, options);
   if (!plan.active) return outcome;
 
-  const int naggs = static_cast<int>(options.aggregators.size());
   auto& p2p = self.world().p2p();
   // Whether to materialize exchange/window buffers (world property) and
   // whether this rank's outgoing payload is real.
   const bool byte_true = self.world().byte_true();
   const bool have_data = request.data != nullptr;
 
-  int a_lo = 0;
-  int a_hi = -1;
-  if (!request.extents.empty()) {
-    a_lo = plan.agg_of(request.extents.front().offset, naggs);
-    a_hi = plan.agg_of(request.extents.back().end() - 1, naggs);
-  }
-
   std::vector<std::byte> window_buffer;
-  for (std::uint64_t t = 0; t < plan.ntimes; ++t) {
-    const double cycle_begin = self.now();
-    mpi::SpanGuard cycle_span(self, obs::SpanKind::Stage, "cycle",
-                              /*group=*/-1, static_cast<std::int64_t>(t));
-    // My pieces for each aggregator's current window, and the size vector.
-    std::vector<std::uint32_t> send_sizes(static_cast<std::size_t>(plan.nranks), 0);
-    std::vector<std::pair<int, std::vector<Piece>>> cycle_sends;
-    for (int a = a_lo; a <= a_hi; ++a) {
-      const CoveredLoc loc = plan.loc(static_cast<std::size_t>(a));
-      const std::uint64_t loc_lo = loc.st;
-      const std::uint64_t loc_hi = loc.end;
-      if (loc_lo >= loc_hi) continue;
-      const std::uint64_t win_lo = loc_lo + t * options.cb_buffer_size;
-      const std::uint64_t win_hi =
-          std::min(loc_hi, win_lo + options.cb_buffer_size);
-      if (win_lo >= win_hi) continue;
-      auto pieces = clip_stream(request.extents, plan.prefix, win_lo, win_hi);
-      if (pieces.empty()) continue;
-      std::uint64_t total = 0;
-      for (const Piece& piece : pieces) total += piece.length;
-      const int agg_rank = options.aggregators[static_cast<std::size_t>(a)];
-      send_sizes[static_cast<std::size_t>(agg_rank)] =
-          static_cast<std::uint32_t>(total);
-      cycle_sends.emplace_back(agg_rank, std::move(pieces));
-    }
+  outcome.cycles = for_each_cycle(self, plan, [&](std::uint64_t t) {
+    const int tag = kTagData + static_cast<int>(t);
+    const CycleShares cycle = cycle_shares(plan, request, options, t);
 
     // Per-cycle coordination: the Alltoall of cycle sizes. This is the
     // synchronization the paper's collective wall is made of.
-    const auto recv_sizes = mpi::alltoall(self, comm, send_sizes);
+    const auto recv_sizes = mpi::alltoall(self, comm, cycle.sizes);
 
     std::vector<mpi::Request> requests;
     std::vector<std::vector<std::byte>> recv_buffers(
@@ -450,79 +470,58 @@ Ext2phOutcome ext2ph_write(mpi::Rank& self, const mpi::Comm& comm,
         if (n == 0) continue;
         auto& buffer = recv_buffers[static_cast<std::size_t>(r)];
         if (byte_true) buffer.resize(n);
-        requests.push_back(p2p.irecv(self, comm, r,
-                                     kTagData + static_cast<int>(t),
+        requests.push_back(p2p.irecv(self, comm, r, tag,
                                      byte_true ? buffer.data() : nullptr, n));
       }
     }
-    std::vector<std::vector<std::byte>> send_buffers;
-    send_buffers.reserve(cycle_sends.size());
-    for (const auto& [agg_rank, pieces] : cycle_sends) {
-      std::uint64_t total = 0;
-      for (const Piece& piece : pieces) total += piece.length;
-      send_buffers.emplace_back();
-      auto& buffer = send_buffers.back();
+    std::vector<std::vector<std::byte>> send_buffers(cycle.shares.size());
+    for (std::size_t i = 0; i < cycle.shares.size(); ++i) {
+      const CycleShares::Share& share = cycle.shares[i];
+      auto& buffer = send_buffers[i];
       if (have_data) {
-        buffer.resize(total);
+        buffer.resize(share.bytes);
         std::uint64_t pos = 0;
-        for (const Piece& piece : pieces) {
+        for (const Piece& piece : share.pieces) {
           std::memcpy(buffer.data() + pos, request.data + piece.stream_pos,
                       piece.length);
           pos += piece.length;
         }
       }
-      self.touch_bytes(static_cast<double>(total));  // gather cost
-      requests.push_back(p2p.isend(self, comm, agg_rank,
-                                   kTagData + static_cast<int>(t),
-                                   have_data ? buffer.data() : nullptr, total));
+      self.touch_bytes(static_cast<double>(share.bytes));  // gather cost
+      requests.push_back(p2p.isend(self, comm, share.rank, tag,
+                                   have_data ? buffer.data() : nullptr,
+                                   share.bytes));
     }
     p2p.waitall(self, requests);
 
-    // File-I/O phase: the aggregator assembles and writes its window.
-    if (plan.my_agg_index >= 0 &&
-        plan.loc(static_cast<std::size_t>(plan.my_agg_index)).end >
-            plan.loc(static_cast<std::size_t>(plan.my_agg_index)).st) {
-      const std::uint64_t loc_lo =
-          plan.loc(static_cast<std::size_t>(plan.my_agg_index)).st;
-      const std::uint64_t loc_hi =
-          plan.loc(static_cast<std::size_t>(plan.my_agg_index)).end;
-      const std::uint64_t win_lo = loc_lo + t * options.cb_buffer_size;
-      const std::uint64_t win_hi =
-          std::min(loc_hi, win_lo + options.cb_buffer_size);
-      const WindowWork work =
-          gather_window_work(plan, recv_sizes, win_lo, win_hi);
-      if (!work.empty()) {
-        const fs::Extent span{work.lo, work.hi - work.lo};
-        if (byte_true) {
-          window_buffer.assign(span.length, std::byte{0});
-          if (work.has_holes()) {
-            target.read(self, std::span(&span, 1), window_buffer.data());
-            ++outcome.rmw_reads;
-          }
-          for (const auto& entry : work.entries) {
-            std::memcpy(window_buffer.data() + (entry.offset - work.lo),
-                        recv_buffers[static_cast<std::size_t>(entry.source)]
-                                .data() +
-                            entry.msg_pos,
-                        entry.length);
-          }
-          self.touch_bytes(static_cast<double>(work.total));
-          target.write(self, std::span(&span, 1), window_buffer.data());
-        } else {
-          if (work.has_holes()) {
-            target.read(self, std::span(&span, 1), nullptr);
-            ++outcome.rmw_reads;
-          }
-          self.touch_bytes(static_cast<double>(work.total));
-          target.write(self, std::span(&span, 1), nullptr);
-        }
+    // File-I/O phase: the aggregator assembles and writes its window,
+    // filling holes from the file first (read-modify-write). Phantom runs
+    // move no bytes: the buffer is null and only the timing is modelled.
+    if (plan.my_agg_index < 0) return;
+    const WindowWork work = gather_window_work(plan, recv_sizes, t);
+    if (work.empty()) return;
+    const fs::Extent span{work.lo, work.hi - work.lo};
+    std::byte* window = nullptr;
+    if (byte_true) {
+      window_buffer.assign(span.length, std::byte{0});
+      window = window_buffer.data();
+    }
+    if (work.has_holes()) {
+      target.read(self, std::span(&span, 1), window);
+      ++outcome.rmw_reads;
+    }
+    if (window != nullptr) {
+      for (const auto& entry : work.entries) {
+        std::memcpy(window + (entry.offset - work.lo),
+                    recv_buffers[static_cast<std::size_t>(entry.source)]
+                            .data() +
+                        entry.msg_pos,
+                    entry.length);
       }
     }
-    ++outcome.cycles;
-    if (auto* metrics = self.world().metrics()) {
-      metrics->quantile("coll.cycle_s").observe(self.now() - cycle_begin);
-    }
-  }
+    self.touch_bytes(static_cast<double>(work.total));
+    target.write(self, std::span(&span, 1), window);
+  });
 
   // Trailing status agreement (ROMIO reduces error codes).
   {
@@ -538,114 +537,64 @@ Ext2phOutcome ext2ph_read(mpi::Rank& self, const mpi::Comm& comm,
                           IoTarget& target, const CollRequest& request,
                           const Ext2phOptions& options) {
   Ext2phOutcome outcome;
-  const Plan plan = [&] {
-    mpi::SpanGuard plan_span(self, obs::SpanKind::Stage, "plan");
-    return make_plan(self, comm, request, options);
-  }();
+  const Plan plan = make_plan(self, comm, request, options);
   if (!plan.active) return outcome;
 
-  const int naggs = static_cast<int>(options.aggregators.size());
   auto& p2p = self.world().p2p();
   const bool byte_true = self.world().byte_true();
   const bool want_data = request.data != nullptr;
 
-  int a_lo = 0;
-  int a_hi = -1;
-  if (!request.extents.empty()) {
-    a_lo = plan.agg_of(request.extents.front().offset, naggs);
-    a_hi = plan.agg_of(request.extents.back().end() - 1, naggs);
-  }
-
   std::vector<std::byte> window_buffer;
-  for (std::uint64_t t = 0; t < plan.ntimes; ++t) {
-    const double cycle_begin = self.now();
-    mpi::SpanGuard cycle_span(self, obs::SpanKind::Stage, "cycle",
-                              /*group=*/-1, static_cast<std::int64_t>(t));
+  outcome.cycles = for_each_cycle(self, plan, [&](std::uint64_t t) {
+    const int tag = kTagData + static_cast<int>(t);
     // What I want from each aggregator's window this cycle.
-    std::vector<std::uint32_t> want_sizes(static_cast<std::size_t>(plan.nranks), 0);
-    std::vector<std::pair<int, std::vector<Piece>>> cycle_wants;
-    for (int a = a_lo; a <= a_hi; ++a) {
-      const CoveredLoc loc = plan.loc(static_cast<std::size_t>(a));
-      const std::uint64_t loc_lo = loc.st;
-      const std::uint64_t loc_hi = loc.end;
-      if (loc_lo >= loc_hi) continue;
-      const std::uint64_t win_lo = loc_lo + t * options.cb_buffer_size;
-      const std::uint64_t win_hi =
-          std::min(loc_hi, win_lo + options.cb_buffer_size);
-      if (win_lo >= win_hi) continue;
-      auto pieces = clip_stream(request.extents, plan.prefix, win_lo, win_hi);
-      if (pieces.empty()) continue;
-      std::uint64_t total = 0;
-      for (const Piece& piece : pieces) total += piece.length;
-      const int agg_rank = options.aggregators[static_cast<std::size_t>(a)];
-      want_sizes[static_cast<std::size_t>(agg_rank)] =
-          static_cast<std::uint32_t>(total);
-      cycle_wants.emplace_back(agg_rank, std::move(pieces));
-    }
-
-    const auto asked_sizes = mpi::alltoall(self, comm, want_sizes);
+    const CycleShares cycle = cycle_shares(plan, request, options, t);
+    const auto asked_sizes = mpi::alltoall(self, comm, cycle.sizes);
 
     // Post my receives for the data I asked for.
     std::vector<mpi::Request> requests;
-    std::vector<std::vector<std::byte>> recv_buffers;
-    recv_buffers.reserve(cycle_wants.size());
-    for (const auto& [agg_rank, pieces] : cycle_wants) {
-      std::uint64_t total = 0;
-      for (const Piece& piece : pieces) total += piece.length;
-      recv_buffers.emplace_back();
-      auto& buffer = recv_buffers.back();
-      if (want_data) buffer.resize(total);
-      requests.push_back(p2p.irecv(self, comm, agg_rank,
-                                   kTagData + static_cast<int>(t),
-                                   want_data ? buffer.data() : nullptr, total));
+    std::vector<std::vector<std::byte>> recv_buffers(cycle.shares.size());
+    for (std::size_t i = 0; i < cycle.shares.size(); ++i) {
+      const CycleShares::Share& share = cycle.shares[i];
+      auto& buffer = recv_buffers[i];
+      if (want_data) buffer.resize(share.bytes);
+      requests.push_back(p2p.irecv(self, comm, share.rank, tag,
+                                   want_data ? buffer.data() : nullptr,
+                                   share.bytes));
     }
 
-    // Aggregator: read the window's covered span, slice, and send.
+    // Aggregator: read the window's covered span, slice one reply per
+    // requester (pieces in offset order), and send. Each reply is exactly
+    // the size its requester asked for.
     std::vector<std::vector<std::byte>> reply_buffers;
-    if (plan.my_agg_index >= 0 &&
-        plan.loc(static_cast<std::size_t>(plan.my_agg_index)).end >
-            plan.loc(static_cast<std::size_t>(plan.my_agg_index)).st) {
-      const std::uint64_t loc_lo =
-          plan.loc(static_cast<std::size_t>(plan.my_agg_index)).st;
-      const std::uint64_t loc_hi =
-          plan.loc(static_cast<std::size_t>(plan.my_agg_index)).end;
-      const std::uint64_t win_lo = loc_lo + t * options.cb_buffer_size;
-      const std::uint64_t win_hi =
-          std::min(loc_hi, win_lo + options.cb_buffer_size);
-      const WindowWork work =
-          gather_window_work(plan, asked_sizes, win_lo, win_hi);
-      if (!work.empty()) {
-        const fs::Extent span{work.lo, work.hi - work.lo};
-        window_buffer.assign(byte_true ? span.length : 0, std::byte{0});
-        target.read(self, std::span(&span, 1),
-                    byte_true ? window_buffer.data() : nullptr);
-        // Build one reply per requester, pieces in offset order.
-        std::vector<std::uint64_t> reply_size(
-            static_cast<std::size_t>(plan.nranks), 0);
+    const WindowWork work = plan.my_agg_index >= 0
+                                ? gather_window_work(plan, asked_sizes, t)
+                                : WindowWork{};
+    if (!work.empty()) {
+      const fs::Extent span{work.lo, work.hi - work.lo};
+      window_buffer.assign(byte_true ? span.length : 0, std::byte{0});
+      target.read(self, std::span(&span, 1),
+                  byte_true ? window_buffer.data() : nullptr);
+      reply_buffers.resize(static_cast<std::size_t>(plan.nranks));
+      if (byte_true) {
         for (const auto& entry : work.entries) {
-          reply_size[static_cast<std::size_t>(entry.source)] += entry.length;
-        }
-        reply_buffers.resize(static_cast<std::size_t>(plan.nranks));
-        if (byte_true) {
-          for (const auto& entry : work.entries) {
-            auto& reply = reply_buffers[static_cast<std::size_t>(entry.source)];
-            if (reply.capacity() == 0) {
-              reply.reserve(
-                  reply_size[static_cast<std::size_t>(entry.source)]);
-            }
-            const auto* begin = window_buffer.data() + (entry.offset - work.lo);
-            reply.insert(reply.end(), begin, begin + entry.length);
+          auto& reply = reply_buffers[static_cast<std::size_t>(entry.source)];
+          if (reply.capacity() == 0) {
+            reply.reserve(asked_sizes[static_cast<std::size_t>(entry.source)]);
           }
+          const auto* begin = window_buffer.data() + (entry.offset - work.lo);
+          reply.insert(reply.end(), begin, begin + entry.length);
         }
-        self.touch_bytes(static_cast<double>(work.total));
-        for (int r = 0; r < plan.nranks; ++r) {
-          if (reply_size[static_cast<std::size_t>(r)] == 0) continue;
-          requests.push_back(p2p.isend(
-              self, comm, r, kTagData + static_cast<int>(t),
-              byte_true ? reply_buffers[static_cast<std::size_t>(r)].data()
-                        : nullptr,
-              reply_size[static_cast<std::size_t>(r)]));
-        }
+      }
+      self.touch_bytes(static_cast<double>(work.total));
+      for (int r = 0; r < plan.nranks; ++r) {
+        const std::uint32_t n = asked_sizes[static_cast<std::size_t>(r)];
+        if (n == 0) continue;
+        requests.push_back(p2p.isend(
+            self, comm, r, tag,
+            byte_true ? reply_buffers[static_cast<std::size_t>(r)].data()
+                      : nullptr,
+            n));
       }
     }
 
@@ -653,23 +602,18 @@ Ext2phOutcome ext2ph_read(mpi::Rank& self, const mpi::Comm& comm,
 
     // Scatter the replies into my packed stream.
     if (want_data) {
-      for (std::size_t i = 0; i < cycle_wants.size(); ++i) {
-        const auto& pieces = cycle_wants[i].second;
-        const auto& buffer = recv_buffers[i];
+      for (std::size_t i = 0; i < cycle.shares.size(); ++i) {
+        const CycleShares::Share& share = cycle.shares[i];
         std::uint64_t pos = 0;
-        for (const Piece& piece : pieces) {
-          std::memcpy(request.data + piece.stream_pos, buffer.data() + pos,
-                      piece.length);
+        for (const Piece& piece : share.pieces) {
+          std::memcpy(request.data + piece.stream_pos,
+                      recv_buffers[i].data() + pos, piece.length);
           pos += piece.length;
         }
-        self.touch_bytes(static_cast<double>(pos));
+        self.touch_bytes(static_cast<double>(share.bytes));
       }
     }
-    ++outcome.cycles;
-    if (auto* metrics = self.world().metrics()) {
-      metrics->quantile("coll.cycle_s").observe(self.now() - cycle_begin);
-    }
-  }
+  });
   return outcome;
 }
 

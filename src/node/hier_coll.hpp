@@ -5,16 +5,15 @@
 // over the leader communicator, and results fan back out within the node.
 // The expensive stage therefore runs over num_nodes participants instead of
 // P — the same participant reduction the intra-node aggregation applies to
-// the two-phase data exchange, applied to ext2ph's coordination traffic.
+// the two-phase data exchange, applied to ParColl's two global coordination
+// steps: the partition allgather and the re-election max.
 //
-// Every variant degenerates to the flat collective when no node hosts two
+// Both variants degenerates to the flat collective when no node hosts two
 // members (NodeLayout::multi == false), so results — and, in that case, the
 // timing — are identical to the single-level protocol.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <stdexcept>
 #include <vector>
 
 #include "mpi/collectives.hpp"
@@ -55,13 +54,13 @@ std::vector<T> hier_allgather(mpi::Rank& self, const NodeComm& nc,
       (*all)[static_cast<std::size_t>(nc.leader_node_local())]);
 }
 
-/// Allreduce staged through the node leaders: reduce within the node,
+/// Max-allreduce staged through the node leaders: reduce within the node,
 /// allreduce across leaders, broadcast back.
-template <typename T, typename BinaryOp>
-T hier_allreduce(mpi::Rank& self, const NodeComm& nc, const T& value,
-                 BinaryOp op) {
+template <typename T>
+T hier_allreduce_max(mpi::Rank& self, const NodeComm& nc, const T& value) {
+  const auto max = [](T a, T b) { return a < b ? b : a; };
   if (!nc.multi()) {
-    return mpi::allreduce(self, nc.parent(), value, op);
+    return mpi::allreduce(self, nc.parent(), value, max);
   }
   auto node_vals =
       mpi::gather(self, nc.node_comm(), nc.leader_node_local(), value);
@@ -69,94 +68,11 @@ T hier_allreduce(mpi::Rank& self, const NodeComm& nc, const T& value,
   if (nc.i_lead()) {
     accum = node_vals[0];
     for (std::size_t i = 1; i < node_vals.size(); ++i) {
-      accum = op(accum, node_vals[i]);
+      accum = max(accum, node_vals[i]);
     }
-    accum = mpi::allreduce(self, nc.leader_comm(), accum, op);
+    accum = mpi::allreduce(self, nc.leader_comm(), accum, max);
   }
   return mpi::bcast(self, nc.node_comm(), nc.leader_node_local(), accum);
-}
-
-template <typename T>
-T hier_allreduce_max(mpi::Rank& self, const NodeComm& nc, const T& value) {
-  return hier_allreduce(self, nc, value,
-                        [](T a, T b) { return a < b ? b : a; });
-}
-
-template <typename T>
-T hier_allreduce_sum(mpi::Rank& self, const NodeComm& nc, const T& value) {
-  return hier_allreduce(self, nc, value, [](T a, T b) { return a + b; });
-}
-
-/// Barrier staged through the node leaders: arrive at the leader, leaders
-/// synchronize, leader releases the node.
-inline void hier_barrier(mpi::Rank& self, const NodeComm& nc) {
-  if (!nc.multi()) {
-    mpi::barrier(self, nc.parent());
-    return;
-  }
-  (void)mpi::gather(self, nc.node_comm(), nc.leader_node_local(), char{0});
-  if (nc.i_lead()) {
-    mpi::barrier(self, nc.leader_comm());
-  }
-  (void)mpi::bcast(self, nc.node_comm(), nc.leader_node_local(), char{0});
-}
-
-/// Personalized exchange staged leader-only: each rank supplies one value
-/// per parent rank; the result's j-th entry is what parent rank j sent to
-/// me. Only leaders participate in the inter-node alltoall, over blocks of
-/// node-pair traffic.
-template <typename T>
-std::vector<T> hier_alltoall(mpi::Rank& self, const NodeComm& nc,
-                             const std::vector<T>& send) {
-  if (!nc.multi()) {
-    return mpi::alltoall(self, nc.parent(), send);
-  }
-  const auto P = static_cast<std::size_t>(nc.parent().size());
-  if (send.size() != P) {
-    throw std::logic_error("hier_alltoall: send must have parent.size() items");
-  }
-  // Stage 1: members deposit their whole send vector at the leader.
-  auto member_rows =
-      mpi::gatherv(self, nc.node_comm(), nc.leader_node_local(), send);
-  std::vector<std::vector<T>> mine;
-  if (nc.i_lead()) {
-    // Stage 2: leaders exchange per-node-pair blocks. The block my node m
-    // sends node n is [send_s[d] for s in members(m), d in members(n)],
-    // source-major.
-    const NodeLayout& layout = nc.layout();
-    const auto num_nodes = static_cast<std::size_t>(layout.num_nodes());
-    const auto& my_members =
-        layout.node_members[static_cast<std::size_t>(nc.my_node_index())];
-    std::vector<std::vector<T>> blocks(num_nodes);
-    for (std::size_t n = 0; n < num_nodes; ++n) {
-      const auto& dst_members = layout.node_members[n];
-      blocks[n].reserve(my_members.size() * dst_members.size());
-      for (std::size_t s = 0; s < my_members.size(); ++s) {
-        for (int d : dst_members) {
-          blocks[n].push_back(member_rows[s][static_cast<std::size_t>(d)]);
-        }
-      }
-    }
-    auto received = mpi::alltoallv(self, nc.leader_comm(), blocks);
-    // Stage 3a: reassemble each local member's result row, ordered by
-    // parent local rank of the source.
-    mine.resize(my_members.size());
-    for (std::size_t di = 0; di < my_members.size(); ++di) {
-      auto& row = mine[di];
-      row.resize(P);
-      for (std::size_t j = 0; j < P; ++j) {
-        const auto m = static_cast<std::size_t>(layout.node_index_of[j]);
-        const auto& src_members = layout.node_members[m];
-        const auto si = static_cast<std::size_t>(
-            std::find(src_members.begin(), src_members.end(),
-                      static_cast<int>(j)) -
-            src_members.begin());
-        row[j] = received[m][si * my_members.size() + di];
-      }
-    }
-  }
-  // Stage 3b: the leader hands each member its row.
-  return mpi::scatterv(self, nc.node_comm(), nc.leader_node_local(), mine);
 }
 
 }  // namespace parcoll::node

@@ -136,26 +136,27 @@ double memcpy_seconds(mpi::Rank& self, std::uint64_t bytes) {
 /// self-exchange. This is the full payoff of intra-node aggregation for
 /// single-node subgroups: collective I/O collapses into local I/O.
 std::uint64_t run_sole_leader(mpi::Rank& self, mpiio::IoTarget& target,
-                              const Merged& merged, std::byte* stream,
+                              const mpiio::CollRequest& request,
                               std::uint64_t cb_buffer_size, bool is_write) {
+  const std::vector<fs::Extent>& extents = request.extents;
   std::uint64_t cycles = 0;
   std::size_t i = 0;
   std::uint64_t stream_off = 0;
-  while (i < merged.extents.size()) {
+  while (i < extents.size()) {
     mpi::SpanGuard cycle_span(self, obs::SpanKind::Stage, "local-cycle",
                               /*group=*/-1,
                               static_cast<std::int64_t>(cycles));
     std::uint64_t batch = 0;
     std::size_t j = i;
-    while (j < merged.extents.size() &&
-           (batch == 0 ||
-            batch + merged.extents[j].length <= cb_buffer_size)) {
-      batch += merged.extents[j].length;
+    while (j < extents.size() &&
+           (batch == 0 || batch + extents[j].length <= cb_buffer_size)) {
+      batch += extents[j].length;
       ++j;
     }
     self.touch_bytes(static_cast<double>(batch));  // assembly cost
-    const std::span<const fs::Extent> span(&merged.extents[i], j - i);
-    std::byte* at = stream == nullptr ? nullptr : stream + stream_off;
+    const std::span<const fs::Extent> span(&extents[i], j - i);
+    std::byte* at = request.data == nullptr ? nullptr
+                                            : request.data + stream_off;
     if (is_write) {
       target.write(self, span, at);
     } else {
@@ -168,60 +169,30 @@ std::uint64_t run_sole_leader(mpi::Rank& self, mpiio::IoTarget& target,
   return cycles;
 }
 
-/// Leader side: collect every node member's request. Slot order is
-/// node_comm local rank order (the leader's own request included), so the
-/// merge is deterministic.
-std::vector<MemberReq> gather_member_requests(
-    mpi::Rank& self, const NodeComm& nodes,
-    const mpiio::CollRequest& own_request, bool expect_data) {
-  mpi::P2PEngine& p2p = self.world().p2p();
-  const bool byte_true = self.world().byte_true();
-  const auto n = static_cast<std::size_t>(nodes.node_comm().size());
-  std::vector<MemberReq> members(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    if (static_cast<int>(m) == nodes.leader_node_local()) {
-      members[m].extents = own_request.extents;
-      members[m].data = own_request.data;
-      continue;
-    }
-    WireHeader hdr;
-    p2p.recv(self, nodes.node_comm(), static_cast<int>(m), kTagHeader, &hdr,
-             sizeof hdr, mpi::TimeCat::Intra);
-    members[m].extents.resize(hdr.n_extents);
-    p2p.recv(self, nodes.node_comm(), static_cast<int>(m), kTagExtents,
-             members[m].extents.data(), hdr.n_extents * sizeof(fs::Extent),
-             mpi::TimeCat::Intra);
-    members[m].total_bytes = hdr.total_bytes;
+/// A leader's file-side step over `request`: its own when it is the lone
+/// member of its node, else the node's merged request. A merged request
+/// runs locally when this is the only leader (sole leader); everything
+/// else joins the inter-node ext2ph exchange over the leader comm.
+mpiio::Ext2phOutcome leader_io(mpi::Rank& self, const NodeComm& nodes,
+                               mpiio::IoTarget& target,
+                               const mpiio::CollRequest& request,
+                               const mpiio::Ext2phOptions& options,
+                               bool is_write) {
+  if (nodes.node_comm().size() > 1 && nodes.leader_comm().size() == 1) {
+    return {run_sole_leader(self, target, request, options.cb_buffer_size,
+                            is_write),
+            0};
   }
-  if (expect_data) {
-    // The payloads arrive overlapped: each member copies into the node's
-    // shared staging window from its own core, concurrently — the wall time
-    // is the slowest member's copy, not the sum.
-    std::vector<mpi::Request> pending;
-    for (std::size_t m = 0; m < n; ++m) {
-      if (static_cast<int>(m) == nodes.leader_node_local() ||
-          members[m].total_bytes == 0) {
-        continue;
-      }
-      if (byte_true) {
-        members[m].recv_data.resize(members[m].total_bytes);
-      }
-      pending.push_back(p2p.irecv(
-          self, nodes.node_comm(), static_cast<int>(m), kTagData,
-          byte_true ? members[m].recv_data.data() : nullptr,
-          members[m].total_bytes, mpi::TimeCat::Intra));
-      members[m].data = members[m].recv_data.data();
-    }
-    p2p.waitall(self, pending, mpi::TimeCat::Intra);
-  }
-  return members;
+  return is_write ? mpiio::ext2ph_write(self, nodes.leader_comm(), target,
+                                        request, options)
+                  : mpiio::ext2ph_read(self, nodes.leader_comm(), target,
+                                       request, options);
 }
 
-/// Non-leader side: ship the request description (and payload when
-/// `with_data`) to the node leader. Returns the bytes shipped.
+/// Non-leader side: ship the request description to the node leader.
+/// Returns the bytes shipped.
 std::uint64_t ship_to_leader(mpi::Rank& self, const NodeComm& nodes,
-                             const mpiio::CollRequest& request,
-                             bool with_data) {
+                             const mpiio::CollRequest& request) {
   mpi::P2PEngine& p2p = self.world().p2p();
   const WireHeader hdr{request.extents.size(), request.total_bytes()};
   const std::uint64_t extent_bytes = hdr.n_extents * sizeof(fs::Extent);
@@ -229,13 +200,55 @@ std::uint64_t ship_to_leader(mpi::Rank& self, const NodeComm& nodes,
            sizeof hdr, mpi::TimeCat::Intra);
   p2p.send(self, nodes.node_comm(), nodes.leader_node_local(), kTagExtents,
            request.extents.data(), extent_bytes, mpi::TimeCat::Intra);
-  std::uint64_t shipped = extent_bytes;
-  if (with_data && hdr.total_bytes > 0) {
-    p2p.send(self, nodes.node_comm(), nodes.leader_node_local(), kTagData,
-             request.data, hdr.total_bytes, mpi::TimeCat::Intra);
-    shipped += hdr.total_bytes;
+  return extent_bytes;
+}
+
+/// A leader's node-level request: every member's request (slot order is
+/// node_comm local rank order, the leader's own included, so the merge is
+/// deterministic), their union, and the union's packed stream (empty in
+/// phantom runs).
+struct NodeRequest {
+  std::vector<MemberReq> members;
+  Merged merged;
+  std::vector<std::byte> stream;
+
+  [[nodiscard]] std::byte* data() {
+    return stream.empty() ? nullptr : stream.data();
   }
-  return shipped;
+  [[nodiscard]] mpiio::CollRequest request() {
+    return {merged.extents, data()};
+  }
+};
+
+/// Leader side: collect every node member's request description and merge
+/// them into the node request.
+NodeRequest gather_and_merge(mpi::Rank& self, const NodeComm& nodes,
+                             const mpiio::CollRequest& own_request) {
+  mpi::P2PEngine& p2p = self.world().p2p();
+  const auto n = static_cast<std::size_t>(nodes.node_comm().size());
+  NodeRequest node;
+  node.members.resize(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    MemberReq& member = node.members[m];
+    if (static_cast<int>(m) == nodes.leader_node_local()) {
+      member.extents = own_request.extents;
+      member.data = own_request.data;
+      continue;
+    }
+    WireHeader hdr;
+    p2p.recv(self, nodes.node_comm(), static_cast<int>(m), kTagHeader, &hdr,
+             sizeof hdr, mpi::TimeCat::Intra);
+    member.extents.resize(hdr.n_extents);
+    p2p.recv(self, nodes.node_comm(), static_cast<int>(m), kTagExtents,
+             member.extents.data(), hdr.n_extents * sizeof(fs::Extent),
+             mpi::TimeCat::Intra);
+    member.total_bytes = hdr.total_bytes;
+  }
+  node.merged = merge_extents(node.members);
+  if (self.world().byte_true() && node.merged.total > 0) {
+    node.stream.assign(node.merged.total, std::byte{0});
+  }
+  return node;
 }
 
 }  // namespace
@@ -245,48 +258,55 @@ TwoLevelOutcome two_level_write(mpi::Rank& self, const NodeComm& nodes,
                                 const mpiio::CollRequest& request,
                                 const mpiio::Ext2phOptions& leader_options) {
   TwoLevelOutcome outcome;
+  mpi::P2PEngine& p2p = self.world().p2p();
   if (!nodes.i_lead()) {
     mpi::SpanGuard ship_span(self, obs::SpanKind::Stage, "intra-ship");
-    outcome.intra_bytes = ship_to_leader(self, nodes, request, true);
+    outcome.intra_bytes = ship_to_leader(self, nodes, request);
+    const std::uint64_t total = request.total_bytes();
+    if (total > 0) {
+      p2p.send(self, nodes.node_comm(), nodes.leader_node_local(), kTagData,
+               request.data, total, mpi::TimeCat::Intra);
+      outcome.intra_bytes += total;
+    }
     return outcome;
   }
   if (nodes.node_comm().size() == 1) {
     // Lone member: nothing to merge, join the inter-node exchange as-is.
-    const auto r = mpiio::ext2ph_write(self, nodes.leader_comm(), target,
-                                       request, leader_options);
-    outcome.cycles = r.cycles;
-    outcome.rmw_reads = r.rmw_reads;
+    outcome.exchange =
+        leader_io(self, nodes, target, request, leader_options,
+                  /*is_write=*/true);
     return outcome;
   }
-  const bool byte_true = self.world().byte_true();
-  std::vector<MemberReq> members;
-  Merged merged;
-  std::vector<std::byte> stream;
+  NodeRequest node;
   {
     mpi::SpanGuard gather_span(self, obs::SpanKind::Stage, "intra-gather");
-    members = gather_member_requests(self, nodes, request, true);
-    merged = merge_extents(members);
-    if (byte_true && merged.total > 0) {
-      stream.assign(merged.total, std::byte{0});
+    node = gather_and_merge(self, nodes, request);
+    // The payloads arrive overlapped: each member copies into the node's
+    // shared staging window from its own core, concurrently — the wall time
+    // is the slowest member's copy, not the sum.
+    const bool byte_true = self.world().byte_true();
+    std::vector<mpi::Request> pending;
+    for (std::size_t m = 0; m < node.members.size(); ++m) {
+      MemberReq& member = node.members[m];
+      if (static_cast<int>(m) == nodes.leader_node_local() ||
+          member.total_bytes == 0) {
+        continue;
+      }
+      if (byte_true) member.recv_data.resize(member.total_bytes);
+      pending.push_back(p2p.irecv(
+          self, nodes.node_comm(), static_cast<int>(m), kTagData,
+          byte_true ? member.recv_data.data() : nullptr, member.total_bytes,
+          mpi::TimeCat::Intra));
+      member.data = member.recv_data.data();
     }
-    const std::uint64_t own_staged =
-        stage_into(members, merged, nodes.leader_node_local(),
-                   stream.empty() ? nullptr : stream.data());
+    p2p.waitall(self, pending, mpi::TimeCat::Intra);
+    const std::uint64_t own_staged = stage_into(
+        node.members, node.merged, nodes.leader_node_local(), node.data());
     self.busy(mpi::TimeCat::Intra, memcpy_seconds(self, own_staged));
   }
-
-  if (nodes.leader_comm().size() == 1) {
-    outcome.cycles = run_sole_leader(self, target, merged,
-                                     stream.empty() ? nullptr : stream.data(),
-                                     leader_options.cb_buffer_size, true);
-    return outcome;
-  }
-  const mpiio::CollRequest node_request{
-      merged.extents, stream.empty() ? nullptr : stream.data()};
-  const auto r = mpiio::ext2ph_write(self, nodes.leader_comm(), target,
-                                     node_request, leader_options);
-  outcome.cycles = r.cycles;
-  outcome.rmw_reads = r.rmw_reads;
+  outcome.exchange =
+      leader_io(self, nodes, target, node.request(), leader_options,
+                  /*is_write=*/true);
   return outcome;
 }
 
@@ -298,7 +318,7 @@ TwoLevelOutcome two_level_read(mpi::Rank& self, const NodeComm& nodes,
   mpi::P2PEngine& p2p = self.world().p2p();
   if (!nodes.i_lead()) {
     mpi::SpanGuard ship_span(self, obs::SpanKind::Stage, "intra-ship");
-    outcome.intra_bytes = ship_to_leader(self, nodes, request, false);
+    outcome.intra_bytes = ship_to_leader(self, nodes, request);
     const std::uint64_t total = request.total_bytes();
     if (total > 0) {
       p2p.recv(self, nodes.node_comm(), nodes.leader_node_local(), kTagReply,
@@ -308,67 +328,45 @@ TwoLevelOutcome two_level_read(mpi::Rank& self, const NodeComm& nodes,
     return outcome;
   }
   if (nodes.node_comm().size() == 1) {
-    const auto r = mpiio::ext2ph_read(self, nodes.leader_comm(), target,
-                                      request, leader_options);
-    outcome.cycles = r.cycles;
-    outcome.rmw_reads = r.rmw_reads;
+    outcome.exchange =
+        leader_io(self, nodes, target, request, leader_options,
+                  /*is_write=*/false);
     return outcome;
   }
-  const bool byte_true = self.world().byte_true();
-  std::vector<MemberReq> members;
-  Merged merged;
-  std::vector<std::byte> stream;
+  NodeRequest node;
   {
     mpi::SpanGuard gather_span(self, obs::SpanKind::Stage, "intra-gather");
-    members = gather_member_requests(self, nodes, request, false);
-    merged = merge_extents(members);
-    if (byte_true && merged.total > 0) {
-      stream.assign(merged.total, std::byte{0});
-    }
+    node = gather_and_merge(self, nodes, request);
   }
-  if (nodes.leader_comm().size() == 1) {
-    outcome.cycles = run_sole_leader(self, target, merged,
-                                     stream.empty() ? nullptr : stream.data(),
-                                     leader_options.cb_buffer_size, false);
-  } else {
-    const mpiio::CollRequest node_request{
-        merged.extents, stream.empty() ? nullptr : stream.data()};
-    const auto r = mpiio::ext2ph_read(self, nodes.leader_comm(), target,
-                                      node_request, leader_options);
-    outcome.cycles = r.cycles;
-    outcome.rmw_reads = r.rmw_reads;
-  }
+  outcome.exchange =
+      leader_io(self, nodes, target, node.request(), leader_options,
+                  /*is_write=*/false);
 
   // Scatter each member's slice of the node stream back, overlapped: like
   // the inbound staging, each member pulls its slice out of the shared
   // window from its own core, so the reply transfers carry the copy cost
   // and run concurrently. The leader only pays for its own local slice.
   mpi::SpanGuard scatter_span(self, obs::SpanKind::Stage, "intra-scatter");
+  const bool byte_true = self.world().byte_true();
   std::uint64_t own_sliced = 0;
-  std::vector<std::vector<std::byte>> replies(members.size());
+  std::vector<std::vector<std::byte>> replies(node.members.size());
   std::vector<mpi::Request> pending;
-  for (std::size_t m = 0; m < members.size(); ++m) {
-    const std::uint64_t member_bytes = [&] {
-      std::uint64_t t = 0;
-      for (const fs::Extent& e : members[m].extents) t += e.length;
-      return t;
-    }();
+  for (std::size_t m = 0; m < node.members.size(); ++m) {
+    const MemberReq& member = node.members[m];
     if (static_cast<int>(m) == nodes.leader_node_local()) {
-      own_sliced += slice_from(members[m], merged,
-                               stream.empty() ? nullptr : stream.data(),
-                               request.data);
+      own_sliced += slice_from(member, node.merged, node.data(), request.data);
       continue;
     }
-    if (member_bytes == 0) continue;
+    if (member.total_bytes == 0) continue;
     auto& reply = replies[m];
     if (byte_true) {
-      reply.resize(member_bytes);
-      slice_from(members[m], merged, stream.data(), reply.data());
+      reply.resize(member.total_bytes);
+      slice_from(member, node.merged, node.stream.data(), reply.data());
     }
     pending.push_back(p2p.isend(self, nodes.node_comm(), static_cast<int>(m),
                                 kTagReply,
                                 reply.empty() ? nullptr : reply.data(),
-                                member_bytes, mpi::TimeCat::Intra));
+                                member.total_bytes, mpi::TimeCat::Intra));
   }
   p2p.waitall(self, pending, mpi::TimeCat::Intra);
   self.busy(mpi::TimeCat::Intra, memcpy_seconds(self, own_sliced));

@@ -22,8 +22,9 @@
 namespace parcoll::node {
 
 struct TwoLevelOutcome {
-  std::uint64_t cycles = 0;       // ext2ph cycles (leaders; 0 on non-leaders)
-  std::uint64_t rmw_reads = 0;    // aggregator RMW fills (leaders)
+  /// The leader stage's cycles and RMW fills: ext2ph over the leader comm,
+  /// or the sole leader's local batches. Zero on non-leaders.
+  mpiio::Ext2phOutcome exchange;
   std::uint64_t intra_bytes = 0;  // payload this rank moved intra-node
 };
 

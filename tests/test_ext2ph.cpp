@@ -16,8 +16,10 @@ namespace {
 constexpr std::uint64_t kSalt = 0xE2;
 
 /// Run ext2ph_write on `nranks` ranks, rank r contributing `extents_of(r)`,
-/// then verify every extent landed with the right bytes. Returns rank 0's
-/// outcome.
+/// then verify every extent landed with the right bytes, and that reading
+/// it back with ext2ph_read returns them in the same number of cycles on
+/// every rank (both directions walk one cycle schedule). Returns rank 0's
+/// write outcome.
 Ext2phOutcome run_write(int nranks,
                         const std::function<std::vector<fs::Extent>(int)>&
                             extents_of,
@@ -41,6 +43,12 @@ Ext2phOutcome run_write(int nranks,
     auto* store = dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
     ok = ok && store &&
          workloads::verify_store(*store, fs_id, extents, kSalt);
+    std::vector<std::byte> back(bytes);
+    const auto read_outcome = ext2ph_read(
+        self, self.comm_world(), target,
+        CollRequest{extents, back.empty() ? nullptr : back.data()}, options);
+    EXPECT_EQ(read_outcome.cycles, outcome.cycles) << "rank " << self.rank();
+    ok = ok && workloads::check_stream(back.data(), extents, kSalt);
   });
   EXPECT_TRUE(ok);
   return outcome0;

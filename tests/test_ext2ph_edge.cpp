@@ -29,15 +29,23 @@ struct Harness {
       for (const auto& extent : extents) bytes += extent.length;
       std::vector<std::byte> packed(bytes);
       workloads::fill_stream(packed.data(), extents, kSalt);
-      ext2ph_write(self, self.comm_world(), target,
-                   CollRequest{extents, packed.empty() ? nullptr
-                                                       : packed.data()},
-                   options);
+      const auto written = ext2ph_write(
+          self, self.comm_world(), target,
+          CollRequest{extents, packed.empty() ? nullptr : packed.data()},
+          options);
       mpi::barrier(self, self.comm_world());
       auto* store =
           dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
       ok = ok && store &&
            workloads::verify_store(*store, fs_id, extents, kSalt);
+      // Reading it back walks the same cycle schedule as the write.
+      std::vector<std::byte> back(bytes);
+      const auto read = ext2ph_read(
+          self, self.comm_world(), target,
+          CollRequest{extents, back.empty() ? nullptr : back.data()},
+          options);
+      EXPECT_EQ(read.cycles, written.cycles) << "rank " << self.rank();
+      ok = ok && workloads::check_stream(back.data(), extents, kSalt);
     });
     EXPECT_TRUE(ok);
   }
@@ -128,6 +136,12 @@ TEST(Ext2phEdge, WidelySeparatedRequests) {
     mpi::barrier(self, self.comm_world());
     auto* store = dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
     ok = ok && store && workloads::verify_store(*store, fs_id, extents, kSalt);
+    // Reading it back skips the same gap in the same cycles.
+    std::vector<std::byte> back(1024);
+    const auto read = ext2ph_read(self, self.comm_world(), target,
+                                  CollRequest{extents, back.data()}, options);
+    EXPECT_EQ(read.cycles, outcome.cycles) << "rank " << self.rank();
+    ok = ok && workloads::check_stream(back.data(), extents, kSalt);
   });
   EXPECT_TRUE(ok);
   // Without covered-range windows this would be ~4 GiB / 1 KiB cycles.

@@ -112,6 +112,67 @@ TEST(SplitCollective, ParcollHintsApplyToTheHelper) {
   });
 }
 
+TEST(SplitCollective, BooksTheSameStatsAsBlockingCalls) {
+  // A split write and read book the same counters as write_at_all and
+  // read_at_all on the same pattern: ParColl over an interleaved view
+  // (intermediate file view), two-level staging on 2-core nodes.
+  constexpr int kRanks = 8;
+  mpi::World world(
+      machine::MachineModel::jaguar(kRanks, machine::Mapping::Block, 2));
+  mpiio::Hints hints;
+  hints.parcoll_num_groups = 2;
+  hints.parcoll_min_group_size = 2;
+  hints.cb_buffer_size = 1024;
+  hints.cb_intranode = node::IntranodeMode::On;
+  mpiio::FileStats split_stats;
+  mpiio::FileStats blocking_stats;
+  world.run([&](mpi::Rank& self) {
+    // Rank r owns every kRanks-th 128-byte slot, 16 slots in all.
+    const Datatype slot =
+        Datatype::resized(Datatype::bytes(128), 0, kRanks * 128);
+    const auto view_offset = static_cast<std::uint64_t>(self.rank()) * 128;
+    const Datatype memtype = Datatype::bytes(16 * 128);
+    std::vector<std::byte> data(16 * 128);
+    std::vector<std::byte> back(16 * 128);
+
+    mpiio::FileHandle split(self, self.comm_world(), "split-stats.dat", hints);
+    split.set_view(view_offset, 1, slot);
+    auto write = core::write_at_all_begin(split, 0, data.data(), 1, memtype);
+    core::split_end(split, write);
+    auto read = core::read_at_all_begin(split, 0, back.data(), 1, memtype);
+    core::split_end(split, read);
+
+    mpiio::FileHandle blocking(self, self.comm_world(), "blocking-stats.dat",
+                               hints);
+    blocking.set_view(view_offset, 1, slot);
+    core::write_at_all(blocking, 0, data.data(), 1, memtype);
+    core::read_at_all(blocking, 0, back.data(), 1, memtype);
+
+    mpi::barrier(self, self.comm_world());  // all deltas recorded
+    if (self.rank() == 0) {
+      split_stats = split.stats();
+      blocking_stats = blocking.stats();
+    }
+    split.close();
+    blocking.close();
+  });
+  EXPECT_EQ(blocking_stats.intranode_calls, 2u);
+  EXPECT_GT(blocking_stats.intranode_bytes, 0u);
+  EXPECT_EQ(blocking_stats.parcoll_calls, 2u);
+  EXPECT_EQ(blocking_stats.view_switches, 2u);
+  EXPECT_EQ(blocking_stats.last_num_groups, 2);
+  EXPECT_GT(blocking_stats.exchange_cycles, 0u);
+
+  EXPECT_EQ(split_stats.collective_writes, blocking_stats.collective_writes);
+  EXPECT_EQ(split_stats.collective_reads, blocking_stats.collective_reads);
+  EXPECT_EQ(split_stats.intranode_calls, blocking_stats.intranode_calls);
+  EXPECT_EQ(split_stats.intranode_bytes, blocking_stats.intranode_bytes);
+  EXPECT_EQ(split_stats.parcoll_calls, blocking_stats.parcoll_calls);
+  EXPECT_EQ(split_stats.view_switches, blocking_stats.view_switches);
+  EXPECT_EQ(split_stats.last_num_groups, blocking_stats.last_num_groups);
+  EXPECT_EQ(split_stats.exchange_cycles, blocking_stats.exchange_cycles);
+}
+
 TEST(SplitCollective, EndWithoutBeginThrows) {
   mpi::World world(machine::MachineModel::jaguar(1));
   world.run([&](mpi::Rank& self) {
