@@ -205,8 +205,7 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
       if (is_write) {
         target.write(self, prep.extents, prep.data());
       } else {
-        target.read(self, prep.extents,
-                    prep.packed.empty() ? nullptr : prep.packed.data());
+        target.read(self, prep.extents, prep.data());
       }
     } else {
       if (bb_store != nullptr) {

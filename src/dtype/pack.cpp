@@ -13,6 +13,12 @@ void check_displacement(std::int64_t disp) {
 }
 }  // namespace
 
+bool is_contiguous_run(const Datatype& type, std::uint64_t count) {
+  const auto& segs = type.segments();
+  return segs.size() == 1 && segs[0].disp == 0 &&
+         (count <= 1 || type.extent() == static_cast<std::int64_t>(type.size()));
+}
+
 void pack(const void* base, const Datatype& type, std::uint64_t count,
           std::byte* out) {
   const auto* src = static_cast<const std::byte*>(base);

@@ -9,6 +9,11 @@
 
 namespace parcoll::dtype {
 
+/// True when `count` instances of `type` form one contiguous run starting
+/// at displacement 0, so the memory already is its packed stream (ROMIO's
+/// buftype_is_contig): callers can use it in place of pack/unpack.
+[[nodiscard]] bool is_contiguous_run(const Datatype& type, std::uint64_t count);
+
 /// Gather `count` instances of `type` from `base` into `out` (which must
 /// hold count * type.size() bytes). Displacements are relative to `base`;
 /// negative displacements are not supported.

@@ -1,14 +1,19 @@
 // Byte storage behind the simulated file system.
 //
 // MemoryStore keeps real file contents so tests can verify, byte for byte,
-// that collective I/O protocols put the right data in the right place.
+// that collective I/O protocols put the right data in the right place. The
+// bytes live in fixed pages allocated on first write, so holes cost nothing
+// and a growing file is never copied.
 // PhantomStore keeps only bookkeeping (sizes, request counts) so benches can
 // run paper-scale workloads (hundreds of GB of simulated I/O) through the
 // identical code path without allocating the payload.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,6 +46,9 @@ class ObjectStore {
 
 class MemoryStore final : public ObjectStore {
  public:
+  /// Files are stored as fixed pages, each allocated on its first write.
+  static constexpr std::uint64_t kPageSize = 1ull << 20;
+
   void write(int file_id, std::uint64_t offset, const std::byte* data,
              std::uint64_t length) override;
   void read(int file_id, std::uint64_t offset, std::byte* out,
@@ -48,12 +56,50 @@ class MemoryStore final : public ObjectStore {
   [[nodiscard]] std::uint64_t size(int file_id) const override;
   [[nodiscard]] std::uint64_t content_digest() const override;
 
-  /// Direct access for test assertions.
-  [[nodiscard]] const std::vector<std::byte>& contents(int file_id) const;
+  /// A copy of the whole file (holes as zeros), for test assertions.
+  [[nodiscard]] std::vector<std::byte> contents(int file_id) const;
+
+  /// Walk [offset, offset + length) of `file_id` in order, one piece per
+  /// page: fn(bytes, n), where `bytes` is nullptr for a page never written
+  /// (it reads as n zeros). Unknown files and bytes past EOF are holes.
+  template <class Fn>
+  void for_each_page(int file_id, std::uint64_t offset, std::uint64_t length,
+                     Fn&& fn) const;
 
  private:
-  std::unordered_map<int, std::vector<std::byte>> files_;
+  /// read() for a non-null `out`; also fills contents().
+  void copy_out(int file_id, std::uint64_t offset, std::byte* out,
+                std::uint64_t length) const;
+
+  struct FreePage {
+    void operator()(std::byte* page) const { std::free(page); }
+  };
+  using Page = std::unique_ptr<std::byte[], FreePage>;
+  struct File {
+    std::uint64_t size = 0;   // logical size: one past the last byte written
+    std::vector<Page> pages;  // index = offset / kPageSize; null = a hole
+  };
+  std::unordered_map<int, File> files_;
 };
+
+template <class Fn>
+void MemoryStore::for_each_page(int file_id, std::uint64_t offset,
+                                std::uint64_t length, Fn&& fn) const {
+  const auto it = files_.find(file_id);
+  const std::vector<Page>* pages =
+      it == files_.end() ? nullptr : &it->second.pages;
+  while (length > 0) {
+    const std::uint64_t index = offset / kPageSize;
+    const std::uint64_t at = offset % kPageSize;
+    const std::uint64_t n = std::min(length, kPageSize - at);
+    const std::byte* page = pages != nullptr && index < pages->size()
+                                ? (*pages)[index].get()
+                                : nullptr;
+    fn(page == nullptr ? nullptr : page + at, n);
+    offset += n;
+    length -= n;
+  }
+}
 
 class PhantomStore final : public ObjectStore {
  public:

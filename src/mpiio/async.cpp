@@ -48,9 +48,7 @@ IoRequest start(FileHandle& file, std::uint64_t offset, const void* wbuffer,
     if (state->is_write) {
       target.write(helper, state->prep.extents, state->prep.data());
     } else {
-      target.read(helper, state->prep.extents,
-                  state->prep.packed.empty() ? nullptr
-                                             : state->prep.packed.data());
+      target.read(helper, state->prep.extents, state->prep.data());
     }
     state->helper_time = helper.times().breakdown();
     state->done = true;

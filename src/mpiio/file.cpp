@@ -195,22 +195,31 @@ PreparedRequest FileHandle::prepare_write(std::uint64_t offset,
   request.bytes = count * memtype.size();
   request.extents = view_.map(offset, request.bytes);
   if (buffer != nullptr && request.bytes > 0) {
-    request.packed.resize(request.bytes);
-    dtype::pack(buffer, memtype, count, request.packed.data());
+    if (dtype::is_contiguous_run(memtype, count)) {
+      // Read-only from here on: the engines never write a write stream.
+      request.view =
+          const_cast<std::byte*>(static_cast<const std::byte*>(buffer));
+    } else {
+      request.packed.resize(request.bytes);
+      dtype::pack(buffer, memtype, count, request.packed.data());
+    }
   }
   self_.touch_bytes(static_cast<double>(request.bytes));  // pack cost
   return request;
 }
 
-PreparedRequest FileHandle::prepare_read(std::uint64_t offset,
-                                         const void* buffer,
+PreparedRequest FileHandle::prepare_read(std::uint64_t offset, void* buffer,
                                          std::uint64_t count,
                                          const dtype::Datatype& memtype) {
   PreparedRequest request;
   request.bytes = count * memtype.size();
   request.extents = view_.map(offset, request.bytes);
   if (buffer != nullptr && request.bytes > 0) {
-    request.packed.resize(request.bytes);
+    if (dtype::is_contiguous_run(memtype, count)) {
+      request.view = static_cast<std::byte*>(buffer);
+    } else {
+      request.packed.resize(request.bytes);
+    }
   }
   return request;
 }
@@ -278,9 +287,7 @@ void FileHandle::read_at(std::uint64_t offset, void* buffer,
     if (seconds > 0) self_.busy(mpi::TimeCat::Integrity, seconds);
   }
   DirectTarget target(self_.world().fs(), fs_id());
-  target.read(self_, request.extents, request.packed.empty()
-                                          ? nullptr
-                                          : request.packed.data());
+  target.read(self_, request.extents, request.data());
   finish_read(request, buffer, count, memtype);
   FileStats delta;
   delta.time = time_delta(before, time_snapshot());

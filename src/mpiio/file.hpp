@@ -44,12 +44,18 @@ struct FileCommon {
 };
 
 /// A request prepared for the I/O engines: absolute file extents plus the
-/// matching packed byte stream (empty in phantom mode).
+/// matching packed byte stream (null in phantom mode). When the user buffer
+/// is one contiguous run at displacement 0 the stream is a view of it, as
+/// ROMIO does for a contiguous buftype; only noncontiguous memtypes are
+/// packed into (or unpacked from) the owned `packed` copy. The engines only
+/// read a write request's stream, so a view never changes the caller's data.
 struct PreparedRequest {
   std::vector<fs::Extent> extents;
-  std::vector<std::byte> packed;
+  std::byte* view = nullptr;       // the user buffer, when it is the stream
+  std::vector<std::byte> packed;   // the owned stream otherwise
   std::uint64_t bytes = 0;
   [[nodiscard]] std::byte* data() {
+    if (view != nullptr) return view;
     return packed.empty() ? nullptr : packed.data();
   }
 };
@@ -158,16 +164,19 @@ class FileHandle {
   }
 
   /// Map a request through the view and, for writes with a real buffer,
-  /// pack the data (charging memcpy time). `buffer` may be nullptr.
+  /// pack the data unless the buffer is contiguous. The pack's memcpy time
+  /// is charged either way. `buffer` may be nullptr.
   PreparedRequest prepare_write(std::uint64_t offset, const void* buffer,
                                 std::uint64_t count,
                                 const dtype::Datatype& memtype);
-  /// Map a read request; allocates the packed landing buffer when `buffer`
-  /// is real.
-  PreparedRequest prepare_read(std::uint64_t offset, const void* buffer,
+  /// Map a read request; the stream lands in `buffer` directly when it is
+  /// contiguous, else in an allocated packed buffer. `buffer` may be
+  /// nullptr.
+  PreparedRequest prepare_read(std::uint64_t offset, void* buffer,
                                std::uint64_t count,
                                const dtype::Datatype& memtype);
-  /// Unpack a completed read's packed stream into the user buffer.
+  /// Unpack a completed read's packed stream into the user buffer (nothing
+  /// to copy for a view) and charge the unpack time.
   void finish_read(PreparedRequest& request, void* buffer, std::uint64_t count,
                    const dtype::Datatype& memtype);
 

@@ -12,7 +12,7 @@ void posix_write_at(FileHandle& file, std::uint64_t offset, const void* buffer,
   std::uint64_t stream_pos = 0;
   for (const fs::Extent& extent : request.extents) {
     const std::byte* data =
-        request.packed.empty() ? nullptr : request.packed.data() + stream_pos;
+        request.data() == nullptr ? nullptr : request.data() + stream_pos;
     target.write(file.self(), std::span(&extent, 1), data);
     stream_pos += extent.length;
   }
@@ -31,7 +31,7 @@ void posix_read_at(FileHandle& file, std::uint64_t offset, void* buffer,
   std::uint64_t stream_pos = 0;
   for (const fs::Extent& extent : request.extents) {
     std::byte* out =
-        request.packed.empty() ? nullptr : request.packed.data() + stream_pos;
+        request.data() == nullptr ? nullptr : request.data() + stream_pos;
     target.read(file.self(), std::span(&extent, 1), out);
     stream_pos += extent.length;
   }

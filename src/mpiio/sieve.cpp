@@ -94,7 +94,8 @@ void sieve_read_windows(mpi::Rank& self, int fs_id, PreparedRequest& request,
   DirectTarget target(self.world().fs(), fs_id);
   const auto windows = plan_windows(request.extents, sieve_buffer_size);
   std::vector<std::byte> window_buffer;
-  const bool byte_true = !request.packed.empty();
+  std::byte* const stream = request.data();
+  const bool byte_true = stream != nullptr;
   std::uint64_t stream_pos = 0;
   for (const Window& window : windows) {
     const fs::Extent span{window.lo, window.hi - window.lo};
@@ -105,7 +106,7 @@ void sieve_read_windows(mpi::Rank& self, int fs_id, PreparedRequest& request,
     for (std::size_t k = 0; k < window.piece_count; ++k) {
       const fs::Extent& piece = request.extents[window.first_piece + k];
       if (byte_true) {
-        std::memcpy(request.packed.data() + stream_pos,
+        std::memcpy(stream + stream_pos,
                     window_buffer.data() + (piece.offset - span.offset),
                     piece.length);
       }
@@ -159,8 +160,7 @@ void sieve_read_at(FileHandle& file, std::uint64_t offset, void* buffer,
   DirectTarget target(self.world().fs(), file.fs_id());
 
   if (request.extents.size() <= 1) {
-    target.read(self, request.extents,
-                request.packed.empty() ? nullptr : request.packed.data());
+    target.read(self, request.extents, request.data());
   } else {
     sieve_read_windows(self, file.fs_id(), request, sieve_buffer_size);
   }

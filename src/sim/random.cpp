@@ -2,13 +2,6 @@
 
 namespace parcoll::sim {
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) {
   return mix64(a ^ (b + 0x9e3779b97f4a7c15ull + (a << 12) + (a >> 4)));
 }

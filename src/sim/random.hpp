@@ -10,8 +10,14 @@
 
 namespace parcoll::sim {
 
-/// splitmix64 finalizer: a strong 64-bit mixing function.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x);
+/// splitmix64 finalizer: a strong 64-bit mixing function. Inline: the
+/// byte-true audit calls it once per byte.
+[[nodiscard]] inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
 
 /// Combine hash values (boost::hash_combine style, 64-bit).
 [[nodiscard]] std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b);

@@ -31,14 +31,16 @@ void fill_stream(std::byte* stream, std::span<const fs::Extent> extents,
                                 std::uint64_t salt);
 
 /// Fill a user buffer laid out as `count` x `memtype` so that packing it
-/// yields fill_stream(extents). Requires count * memtype.size() == total
-/// extent length.
+/// yields fill_stream(extents). The pattern goes straight into the
+/// memtype's segments. Requires count * memtype.size() == total extent
+/// length (else std::invalid_argument).
 void fill_buffer_for_extents(void* buffer, const dtype::Datatype& memtype,
                              std::uint64_t count,
                              std::span<const fs::Extent> extents,
                              std::uint64_t salt);
 
-/// Check a user buffer (inverse of fill_buffer_for_extents).
+/// Check a user buffer (inverse of fill_buffer_for_extents), block by block
+/// against the generated pattern. Same precondition, same exception.
 [[nodiscard]] bool check_buffer_for_extents(const void* buffer,
                                             const dtype::Datatype& memtype,
                                             std::uint64_t count,

@@ -2,7 +2,11 @@
 // model (FIFO, jitter, lock switching), and the Lustre client.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <stdexcept>
+#include <vector>
 
 #include "fs/lustre.hpp"
 #include "fs/object_store.hpp"
@@ -75,6 +79,137 @@ TEST(MemoryStore, UnknownFileReadsZeros) {
   store.read(99, 0, out, 4);
   EXPECT_EQ(out[0], std::byte{0});
   EXPECT_EQ(store.size(99), 0u);
+}
+
+constexpr std::uint64_t kPage = MemoryStore::kPageSize;
+
+std::vector<std::byte> ramp(std::size_t n, unsigned seed) {
+  std::vector<std::byte> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<std::byte>((i * 131 + seed) & 0xff);
+  }
+  return bytes;
+}
+
+/// Counts the pages a file holds (non-null pieces of a whole-file walk).
+int pages_held(const MemoryStore& store, int file_id) {
+  int pages = 0;
+  store.for_each_page(file_id, 0, store.size(file_id),
+                      [&pages](const std::byte* bytes, std::uint64_t) {
+                        pages += bytes != nullptr ? 1 : 0;
+                      });
+  return pages;
+}
+
+TEST(MemoryStore, WritesAndReadsStraddlePageBoundaries) {
+  MemoryStore store;
+  // 3 pages + a bit, starting 40 bytes before the first page boundary.
+  const auto data = ramp(3 * kPage + 100, 7);
+  const std::uint64_t at = kPage - 40;
+  store.write(1, at, data.data(), data.size());
+  EXPECT_EQ(store.size(1), at + data.size());
+  EXPECT_EQ(pages_held(store, 1), 5);
+
+  std::vector<std::byte> back(data.size());
+  store.read(1, at, back.data(), back.size());
+  EXPECT_EQ(back, data);
+
+  // A small read across the second boundary.
+  std::byte piece[80];
+  store.read(1, 2 * kPage - 30, piece, sizeof(piece));
+  EXPECT_EQ(std::memcmp(piece, data.data() + (kPage + 10), sizeof(piece)), 0);
+
+  // An overwrite across a boundary keeps the bytes on either side.
+  const auto patch = ramp(64, 99);
+  store.write(1, 3 * kPage - 32, patch.data(), patch.size());
+  std::vector<std::byte> expected = data;
+  std::memcpy(expected.data() + (2 * kPage + 8), patch.data(), patch.size());
+  store.read(1, at, back.data(), back.size());
+  EXPECT_EQ(back, expected);
+}
+
+TEST(MemoryStore, HolesAndPastEofReadAsZerosAcrossPages) {
+  MemoryStore store;
+  const auto data = ramp(16, 3);
+  store.write(1, 4 * kPage + 8, data.data(), data.size());
+  EXPECT_EQ(pages_held(store, 1), 1);  // pages 0-3 are a hole
+
+  std::vector<std::byte> out(2 * kPage, std::byte{0xAB});
+  store.read(1, kPage / 2, out.data(), out.size());  // inside the hole
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+
+  std::fill(out.begin(), out.end(), std::byte{0xAB});
+  store.read(1, 4 * kPage + 8 + 16, out.data(), out.size());  // past EOF
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+}
+
+TEST(MemoryStore, NullWriteGrowsSizeButAllocatesNoPage) {
+  MemoryStore store;
+  store.write(1, 5 * kPage, nullptr, 100);
+  EXPECT_EQ(store.size(1), 5 * kPage + 100);
+  EXPECT_EQ(pages_held(store, 1), 0);
+  std::byte b{0xFF};
+  store.read(1, 5 * kPage + 50, &b, 1);
+  EXPECT_EQ(b, std::byte{0});
+  // A later real write allocates only the page it touches.
+  const auto data = ramp(10, 1);
+  store.write(1, 2 * kPage + 3, data.data(), data.size());
+  EXPECT_EQ(store.size(1), 5 * kPage + 100);
+  EXPECT_EQ(pages_held(store, 1), 1);
+}
+
+/// FNV-1a over (id, size, bytes) of flat files in ascending id order: the
+/// reference for MemoryStore::content_digest, which walks pages instead.
+std::uint64_t flat_digest(const std::map<int, std::vector<std::byte>>& files) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto byte = [&h](std::uint64_t b) { h = (h ^ b) * 1099511628211ull; };
+  const auto word = [&byte](std::uint64_t v) {
+    for (int shift = 0; shift < 64; shift += 8) byte((v >> shift) & 0xff);
+  };
+  for (const auto& [id, bytes] : files) {
+    word(static_cast<std::uint64_t>(id));
+    word(bytes.size());
+    for (std::byte b : bytes) byte(static_cast<std::uint64_t>(b));
+  }
+  return h;
+}
+
+TEST(MemoryStore, DigestEqualsFlatFnv1aReference) {
+  MemoryStore store;
+  std::map<int, std::vector<std::byte>> flat;
+  const auto write = [&](int id, std::uint64_t offset,
+                         const std::vector<std::byte>* data,
+                         std::uint64_t length) {
+    store.write(id, offset, data == nullptr ? nullptr : data->data(), length);
+    auto& file = flat[id];
+    if (file.size() < offset + length) file.resize(offset + length);
+    if (data != nullptr) {
+      std::memcpy(file.data() + offset, data->data(), length);
+    }
+  };
+  const auto a = ramp(kPage + 300, 5);
+  const auto b = ramp(777, 11);
+  write(7, kPage - 100, &a, a.size());  // straddles, leaves page 0's head
+  write(7, 4 * kPage + 5, &b, b.size());  // behind a hole (page 3)
+  write(2, 0, &b, b.size());
+  write(2, 4 * kPage, nullptr, 10);  // phantom growth
+  write(9, 0, nullptr, 0);           // an empty file still hashes
+  EXPECT_EQ(store.content_digest(), flat_digest(flat));
+  EXPECT_EQ(MemoryStore().content_digest(), flat_digest({}));
+}
+
+TEST(MemoryStore, ContentsEqualsWholeFileRead) {
+  MemoryStore store;
+  const auto data = ramp(kPage + 1000, 2);
+  store.write(3, 2 * kPage - 500, data.data(), data.size());
+  store.write(3, 10, data.data(), 20);
+  const std::uint64_t size = store.size(3);
+  std::vector<std::byte> whole(size);
+  store.read(3, 0, whole.data(), size);
+  EXPECT_EQ(store.contents(3), whole);
+  EXPECT_THROW((void)store.contents(4), std::out_of_range);
 }
 
 TEST(PhantomStore, TracksBookkeepingOnly) {
