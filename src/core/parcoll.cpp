@@ -60,6 +60,50 @@ std::uint64_t roster_hash(double agreed, const std::vector<int>& roster) {
   return h;
 }
 
+// Attribute key of the cached baseline roster; the cb hints are hashed in.
+constexpr std::uint64_t kRosterAttr = 0x726f73746572;  // "roster"
+
+/// A baseline roster and what it was built from, for validating a hit.
+struct CachedRoster {
+  mpi::Comm comm;
+  int cb_nodes = 0;
+  std::vector<int> cb_node_list;
+  mpiio::AggregatorRoster roster;
+};
+
+/// The baseline's aggregator roster for `comm` under `hints`. Every rank
+/// derives the same one, so it is built once per communicator and cb hints
+/// and cached as a communicator attribute (like the NodeLayout) instead of
+/// being rebuilt, P entries at a time, by every rank on every call.
+mpiio::AggregatorRoster baseline_roster(mpi::Rank& self,
+                                        const mpi::Comm& comm,
+                                        const mpiio::Hints& hints) {
+  auto& colls = self.world().colls();
+  std::uint64_t key = sim::hash_combine(
+      kRosterAttr, static_cast<std::uint64_t>(hints.cb_nodes));
+  for (int node : hints.cb_node_list) {
+    key = sim::hash_combine(key, static_cast<std::uint64_t>(node));
+  }
+  const auto cached = std::static_pointer_cast<const CachedRoster>(
+      colls.cached_attr(comm.context_id(), key));
+  if (cached != nullptr &&
+      (cached->comm == comm || cached->comm.members() == comm.members()) &&
+      cached->cb_nodes == hints.cb_nodes &&
+      cached->cb_node_list == hints.cb_node_list) {
+    return cached->roster;
+  }
+  auto built = std::make_shared<const CachedRoster>(CachedRoster{
+      comm, hints.cb_nodes, hints.cb_node_list,
+      mpiio::default_aggregators(self.world().model().topology, comm, hints)});
+  if (cached == nullptr) {
+    // A miss against a different comm or hints under the same key (hand-made
+    // comms may reuse a context) keeps the first entry and serves this
+    // caller an uncached roster of its own.
+    colls.cache_attr(comm.context_id(), key, built);
+  }
+  return built->roster;
+}
+
 RankAccess access_of(const mpiio::PreparedRequest& request) {
   RankAccess access;
   if (!request.extents.empty()) {
@@ -91,10 +135,11 @@ void run_two_phase(mpi::Rank& self, const mpi::Comm& comm,
     // Catamount every-process default) would lose I/O parallelism to buy
     // the coordination win. Auto declines then; On trusts the user.
     const bool declined = hints.cb_intranode == node::IntranodeMode::Auto &&
-                          nodes.layout().shares_a_node(options.aggregators);
+                          nodes.layout().shares_a_node(
+                              options.aggregators.ranks());
     if (!declined) {
       options.aggregators =
-          nodes.layout().to_leader_locals(options.aggregators);
+          nodes.layout().to_leader_locals(options.aggregators.ranks());
       const node::TwoLevelOutcome staged =
           is_write
               ? node::two_level_write(self, nodes, target, request, options)
@@ -225,8 +270,7 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   std::shared_ptr<const SubgroupPlan> plan;
   std::optional<mpi::SpanGuard> subgroup_span;
   if (!ParcollSettings::from(hints).enabled()) {
-    options.aggregators = mpiio::default_aggregators(
-        self.world().model().topology, comm, hints);
+    options.aggregators = baseline_roster(self, comm, hints);
   } else {
     plan = subgroup_plan(self, comm, hints, prep, cache_slot);
     outcome.mode = plan->fa().mode;
@@ -260,7 +304,7 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
     if (auto* checker = self.world().checker()) {
       checker->on_reelection(self.rank(), plan->subcomm.context_id(),
                              plan->subcomm.size(),
-                             roster_hash(agreed, options.aggregators));
+                             roster_hash(agreed, options.aggregators.ranks()));
     }
     if (replaced > 0 && plan->subcomm.local_rank(self.rank()) == 0) {
       self.world().fault_state().of(self.rank()).reelections +=

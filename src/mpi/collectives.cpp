@@ -86,9 +86,10 @@ std::uint64_t CollEngine::derive_context(std::uint64_t parent_ctx,
                            static_cast<std::uint64_t>(color) + 0x1234567ull);
 }
 
-std::shared_ptr<const CollContribs> CollEngine::exchange(
+std::shared_ptr<const void> CollEngine::exchange(
     Rank& self, const Comm& comm, CollKind kind,
-    std::vector<std::byte> contribution) {
+    std::vector<std::byte> contribution, const CollFold& fold,
+    std::optional<std::uint64_t> nominal_contrib) {
   const int me = comm.local_rank(self.rank());
   if (me < 0) {
     throw std::logic_error("collective: caller is not in the communicator");
@@ -132,13 +133,23 @@ std::shared_ptr<const CollContribs> CollEngine::exchange(
     // Last arriver: compute cost, publish the result, release everyone.
     std::uint64_t max_contrib = 0;
     std::uint64_t total = 0;
-    for (const auto& c : op.contribs) {
-      max_contrib = std::max<std::uint64_t>(max_contrib, c.size());
-      total += c.size();
+    if (nominal_contrib.has_value()) {
+      max_contrib = *nominal_contrib;
+      total = *nominal_contrib * static_cast<std::uint64_t>(op.expected);
+    } else {
+      for (const auto& c : op.contribs) {
+        max_contrib = std::max<std::uint64_t>(max_contrib, c.size());
+        total += c.size();
+      }
     }
     const double completion =
         op.max_arrival + coll_cost(net_, kind, op.expected, max_contrib, total);
-    op.result = std::make_shared<const CollContribs>(std::move(op.contribs));
+    if (fold) {
+      op.result = fold(op.contribs);
+      op.contribs = {};
+    } else {
+      op.result = std::make_shared<const CollContribs>(std::move(op.contribs));
+    }
     for (sim::ProcId pid : op.waiter_pids) {
       engine_.wake_at(completion, pid);
     }
@@ -215,6 +226,14 @@ void barrier(Rank& self, const Comm& comm) {
 std::shared_ptr<const CollContribs> coll_run(Rank& self, const Comm& comm,
                                              CollKind kind,
                                              std::vector<std::byte> contribution) {
+  return std::static_pointer_cast<const CollContribs>(
+      coll_run_folded(self, comm, kind, std::move(contribution), {}, {}));
+}
+
+std::shared_ptr<const void> coll_run_folded(
+    Rank& self, const Comm& comm, CollKind kind,
+    std::vector<std::byte> contribution, const CollFold& fold,
+    std::optional<std::uint64_t> nominal_contrib) {
   self.maybe_fault_stall();
   // A standalone collective (one issued outside any collective-I/O call,
   // e.g. a workload-level barrier) opens its own Call span so its sync
@@ -225,7 +244,9 @@ std::shared_ptr<const CollContribs> coll_run(Rank& self, const Comm& comm,
       tracer != nullptr && !tracer->spans().in_call(self.pid())) {
     call_span.emplace(self, obs::SpanKind::Call, to_string(kind));
   }
-  return self.world().colls().exchange(self, comm, kind, std::move(contribution));
+  return self.world().colls().exchange(self, comm, kind,
+                                       std::move(contribution), fold,
+                                       nominal_contrib);
 }
 
 int coll_local_rank(Rank& self, const Comm& comm) {

@@ -14,7 +14,14 @@
 // Implementation note: the engine gathers every rank's contribution and
 // hands all of them to every rank; the typed wrappers below then slice or
 // reduce locally. Data routing fidelity does not affect timing (costs are
-// per-kind), and it keeps the engine to a single code path.
+// per-kind), and it keeps the engine to a single code path. A wrapper whose
+// per-rank answer is a function of the whole contribution set (allreduce's
+// scalar, alltoall_sparse's transpose) passes a fold instead: the last
+// arriver runs it once and every member reads the one shared result, so a
+// rank pays for its own answer rather than for scanning P contributions.
+// The fold runs inside the exchange's own operation and takes no sequence
+// number of its own; an optional nominal contribution size lets a compact
+// encoding be charged as the dense exchange it stands for.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +29,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
@@ -55,16 +63,26 @@ enum class CollKind {
 
 using CollContribs = std::vector<std::vector<std::byte>>;
 
+/// Reduction of every member's contribution (ordered by local rank) to the
+/// one value each member receives; see CollEngine::exchange.
+using CollFold =
+    std::function<std::shared_ptr<const void>(const CollContribs&)>;
+
 class CollEngine {
  public:
   CollEngine(sim::Engine& engine, const machine::NetworkParams& net);
 
   /// Core rendezvous: block until all members of `comm` have contributed,
-  /// then return (a shared view of) everyone's contributions, ordered by
-  /// local rank. Charges Sync time.
-  std::shared_ptr<const CollContribs> exchange(Rank& self, const Comm& comm,
-                                               CollKind kind,
-                                               std::vector<std::byte> contribution);
+  /// then return a shared result. Without a fold it is everyone's
+  /// contributions as a CollContribs, ordered by local rank; with one, the
+  /// last arriver runs `fold` over them once and every member receives
+  /// that value instead. `nominal_contrib`, when given, is the per-rank
+  /// contribution size the cost model charges in place of the actual
+  /// sizes. Charges Sync time.
+  std::shared_ptr<const void> exchange(
+      Rank& self, const Comm& comm, CollKind kind,
+      std::vector<std::byte> contribution, const CollFold& fold = {},
+      std::optional<std::uint64_t> nominal_contrib = std::nullopt);
 
   /// Allocate a context id for a derived communicator. Must be called in
   /// the same order by all ranks that use the result (comm_split does).
@@ -107,7 +125,7 @@ class CollEngine {
     double max_arrival = 0.0;
     CollContribs contribs;
     std::vector<sim::ProcId> waiter_pids;
-    std::shared_ptr<const CollContribs> result;
+    std::shared_ptr<const void> result;
   };
   using OpKey = std::pair<std::uint64_t, std::uint64_t>;  // (ctx, seq)
 
@@ -193,6 +211,25 @@ template <typename T>
 std::vector<T> alltoall(Rank& self, const Comm& comm,
                         const std::vector<T>& send);
 
+/// One entry of a sparse personalized exchange: a peer's local rank and
+/// the value sent to (or received from) it.
+template <typename T>
+struct PeerValue {
+  int rank = 0;
+  T value{};
+};
+
+/// Sparse alltoall: `send` lists (destination, value) for the peers this
+/// rank addresses, destinations strictly ascending and in [0, comm.size());
+/// the result lists (source, value) for every rank that addressed this
+/// one, ascending by source. A peer left out is a dense alltoall's T{}.
+/// Charged exactly as alltoall of comm.size() T's, so the Sync time is the
+/// dense one; the host cost is one transpose per call plus each rank's own
+/// entries.
+template <typename T>
+std::vector<PeerValue<T>> alltoall_sparse(
+    Rank& self, const Comm& comm, const std::vector<PeerValue<T>>& send);
+
 /// Element-wise reduction of everyone's value with `op`.
 template <typename T, typename BinaryOp>
 T allreduce(Rank& self, const Comm& comm, const T& value, BinaryOp op);
@@ -256,7 +293,29 @@ Comm comm_dup(Rank& self, const Comm& comm);
 std::shared_ptr<const CollContribs> coll_run(Rank& self, const Comm& comm,
                                              CollKind kind,
                                              std::vector<std::byte> contribution);
+std::shared_ptr<const void> coll_run_folded(
+    Rank& self, const Comm& comm, CollKind kind,
+    std::vector<std::byte> contribution, const CollFold& fold,
+    std::optional<std::uint64_t> nominal_contrib);
 int coll_local_rank(Rank& self, const Comm& comm);
+
+/// Typed front end to a folded exchange: `fold(contributions)` yields the
+/// R that every member of `comm` receives, computed once by the last
+/// arriver. Every member must pass an equivalent fold.
+template <typename R, typename Fold>
+std::shared_ptr<const R> coll_fold(
+    Rank& self, const Comm& comm, CollKind kind,
+    std::vector<std::byte> contribution, Fold&& fold,
+    std::optional<std::uint64_t> nominal_contrib = std::nullopt) {
+  auto erased = coll_run_folded(
+      self, comm, kind, std::move(contribution),
+      [&](const CollContribs& all) -> std::shared_ptr<const void> {
+        return std::make_shared<const R>(fold(all));
+      },
+      nominal_contrib);
+  return std::static_pointer_cast<const R>(erased);
+}
+
 std::shared_ptr<const void> coll_shared_fetch(
     Rank& self, const Comm& comm,
     const std::function<std::shared_ptr<const void>()>& build);
@@ -361,14 +420,77 @@ std::vector<T> alltoall(Rank& self, const Comm& comm,
   return result;
 }
 
+template <typename T>
+std::vector<PeerValue<T>> alltoall_sparse(
+    Rank& self, const Comm& comm, const std::vector<PeerValue<T>>& send) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const int nranks = comm.size();
+  int previous = -1;
+  for (const PeerValue<T>& entry : send) {
+    if (entry.rank <= previous || entry.rank >= nranks) {
+      throw std::invalid_argument(
+          "alltoall_sparse: destinations must be strictly ascending local "
+          "ranks of the communicator");
+    }
+    previous = entry.rank;
+  }
+  // The transpose in compressed sparse rows: row d holds (source, value)
+  // for every entry addressed to d, ascending by source because sources
+  // are visited in local-rank order.
+  struct Transpose {
+    std::vector<std::size_t> offsets;  // nranks + 1
+    std::vector<PeerValue<T>> entries;
+  };
+  const auto transpose = coll_fold<Transpose>(
+      self, comm, CollKind::Alltoall, detail::to_bytes(send),
+      [nranks](const CollContribs& all) {
+        constexpr std::size_t kEntry = sizeof(PeerValue<T>);
+        const auto decode = [&](std::size_t source, std::size_t i) {
+          PeerValue<T> entry;
+          std::memcpy(&entry, all[source].data() + i * kEntry, kEntry);
+          return entry;
+        };
+        Transpose t;
+        t.offsets.assign(static_cast<std::size_t>(nranks) + 1, 0);
+        for (std::size_t source = 0; source < all.size(); ++source) {
+          for (std::size_t i = 0; i < all[source].size() / kEntry; ++i) {
+            ++t.offsets[static_cast<std::size_t>(decode(source, i).rank) + 1];
+          }
+        }
+        for (std::size_t d = 0; d < static_cast<std::size_t>(nranks); ++d) {
+          t.offsets[d + 1] += t.offsets[d];
+        }
+        t.entries.resize(t.offsets.back());
+        std::vector<std::size_t> cursor(t.offsets.begin(), t.offsets.end() - 1);
+        for (std::size_t source = 0; source < all.size(); ++source) {
+          for (std::size_t i = 0; i < all[source].size() / kEntry; ++i) {
+            const PeerValue<T> entry = decode(source, i);
+            t.entries[cursor[static_cast<std::size_t>(entry.rank)]++] =
+                PeerValue<T>{static_cast<int>(source), entry.value};
+          }
+        }
+        return t;
+      },
+      static_cast<std::uint64_t>(nranks) * sizeof(T));
+  const auto me = static_cast<std::size_t>(coll_local_rank(self, comm));
+  return {transpose->entries.begin() +
+              static_cast<std::ptrdiff_t>(transpose->offsets[me]),
+          transpose->entries.begin() +
+              static_cast<std::ptrdiff_t>(transpose->offsets[me + 1])};
+}
+
 template <typename T, typename BinaryOp>
 T allreduce(Rank& self, const Comm& comm, const T& value, BinaryOp op) {
-  auto all = coll_run(self, comm, CollKind::Allreduce, detail::to_bytes(value));
-  T accum = detail::scalar_from<T>((*all)[0]);
-  for (std::size_t i = 1; i < all->size(); ++i) {
-    accum = op(accum, detail::scalar_from<T>((*all)[i]));
-  }
-  return accum;
+  // Fold once in local-rank order (the order every rank used to fold in),
+  // so floating-point results are unchanged.
+  return *coll_fold<T>(self, comm, CollKind::Allreduce,
+                       detail::to_bytes(value), [&](const CollContribs& all) {
+                         T accum = detail::scalar_from<T>(all[0]);
+                         for (std::size_t i = 1; i < all.size(); ++i) {
+                           accum = op(accum, detail::scalar_from<T>(all[i]));
+                         }
+                         return accum;
+                       });
 }
 
 template <typename T>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -71,11 +72,24 @@ struct Range {
   [[nodiscard]] bool empty() const { return st >= end; }
 };
 
+/// Covered range [st_loc, end_loc) of each aggregator's file domain —
+/// the first/last byte actually requested there (ROMIO's st_loc/end_loc) —
+/// and the cycle count they imply (the deepest aggregator's).
+struct LocTable {
+  std::vector<Range> locs;  // by aggregator index
+  std::uint64_t ntimes = 0;
+};
+
+/// A source's extents within an aggregator's domain (aggregator side).
+struct SourceExtents {
+  int rank = 0;  // the source's local rank
+  std::vector<fs::Extent> extents;
+};
+
 /// Everything both directions of the protocol share: the result of phases
 /// 1-3 (range gathering, file-domain partitioning, request dissemination).
 struct Plan {
   bool active = false;
-  int nranks = 0;
   int me = -1;
   std::uint64_t min_st = 0;
   std::uint64_t max_end = 0;
@@ -87,16 +101,16 @@ struct Plan {
   /// a_lo > a_hi).
   int a_lo = 0;
   int a_hi = -1;
-  /// Covered range [st_loc, end_loc) of each aggregator's file domain —
-  /// the first/last byte actually requested there (ROMIO's st_loc/end_loc).
-  /// Windows walk this range, not the whole domain, so sparse requests do
-  /// not spin through empty cycles. Identical on every rank, so all of
-  /// them share one copy (a private naggs-sized vector per rank is
-  /// quadratic when every process aggregates on a wide comm).
-  std::shared_ptr<const std::vector<Range>> loc_shared;
+  /// Windows walk each aggregator's covered range, not the whole domain,
+  /// so sparse requests do not spin through empty cycles. Identical on
+  /// every rank, so all of them share one copy (a private naggs-sized
+  /// vector per rank is quadratic when every process aggregates on a wide
+  /// comm).
+  std::shared_ptr<const LocTable> loc_shared;
   std::vector<std::uint64_t> prefix;  // stream prefix of my extents
-  // Aggregator side: per source local rank, its extents within my domain.
-  std::vector<std::vector<fs::Extent>> others;
+  /// Aggregator side: the sources with extents in my domain, ascending by
+  /// rank.
+  std::vector<SourceExtents> others;
 
   [[nodiscard]] std::uint64_t fd_start(int a) const {
     return std::min(max_end, min_st + static_cast<std::uint64_t>(a) * fd_len);
@@ -114,7 +128,7 @@ struct Plan {
   /// Aggregator `a`'s window in cycle `t`: the t-th cb_buffer_size slice of
   /// its covered range, clipped to the covered end. Empty once past it.
   [[nodiscard]] Range window(int a, std::uint64_t t) const {
-    const Range& loc = (*loc_shared)[static_cast<std::size_t>(a)];
+    const Range& loc = loc_shared->locs[static_cast<std::size_t>(a)];
     if (loc.empty()) return {};
     const std::uint64_t lo = loc.st + t * cb_buffer_size;
     return {lo, std::min(loc.end, lo + cb_buffer_size)};
@@ -128,12 +142,7 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
   if (options.aggregators.empty()) {
     throw std::invalid_argument("ext2ph: aggregator list must not be empty");
   }
-  if (!std::is_sorted(options.aggregators.begin(),
-                      options.aggregators.end())) {
-    throw std::invalid_argument("ext2ph: aggregator list must be sorted");
-  }
   Plan plan;
-  plan.nranks = comm.size();
   plan.me = comm.local_rank(self.rank());
   plan.cb_buffer_size = options.cb_buffer_size;
   const int naggs = static_cast<int>(options.aggregators.size());
@@ -191,8 +200,9 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
 
   // Phase 3: request dissemination. Tell each aggregator which pieces of
   // my request fall inside its file domain (Alltoall of counts, then
-  // point-to-point offset lists).
-  std::vector<std::uint32_t> counts(static_cast<std::size_t>(plan.nranks), 0);
+  // point-to-point offset lists). Aggregator ranks ascend with a, so the
+  // counts list is in the order alltoall_sparse wants.
+  std::vector<mpi::PeerValue<std::uint32_t>> counts;
   std::vector<std::pair<int, std::vector<fs::Extent>>> outgoing;
   if (!request.extents.empty()) {
     plan.a_lo = plan.agg_of(mine.st, naggs);
@@ -202,24 +212,21 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
                                  plan.fd_end(a));
       if (!pieces.empty()) {
         const int agg_rank = options.aggregators[static_cast<std::size_t>(a)];
-        counts[static_cast<std::size_t>(agg_rank)] =
-            static_cast<std::uint32_t>(pieces.size());
+        counts.push_back({agg_rank, static_cast<std::uint32_t>(pieces.size())});
         outgoing.emplace_back(agg_rank, std::move(pieces));
       }
     }
   }
-  const auto incoming_counts = mpi::alltoall(self, comm, counts);
+  const auto incoming_counts = mpi::alltoall_sparse(self, comm, counts);
 
   std::vector<mpi::Request> requests;
-  std::vector<std::pair<int, std::vector<fs::Extent>>> incoming;
   auto& p2p = self.world().p2p();
   if (plan.my_agg_index >= 0) {
-    plan.others.resize(static_cast<std::size_t>(plan.nranks));
-    for (int r = 0; r < plan.nranks; ++r) {
-      const std::uint32_t n = incoming_counts[static_cast<std::size_t>(r)];
-      if (n == 0) continue;
-      incoming.emplace_back(r, std::vector<fs::Extent>(n));
-      auto& list = incoming.back().second;
+    // Reserved up front: each posted receive points into its list.
+    plan.others.reserve(incoming_counts.size());
+    for (const auto& [r, n] : incoming_counts) {
+      auto& list = plan.others.emplace_back(
+          SourceExtents{r, std::vector<fs::Extent>(n)}).extents;
       requests.push_back(p2p.irecv(self, comm, r, kTagReq, list.data(),
                                    list.size() * sizeof(fs::Extent)));
     }
@@ -229,45 +236,43 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
                                  pieces.size() * sizeof(fs::Extent)));
   }
   p2p.waitall(self, requests);
-  for (auto& [r, list] : incoming) {
-    plan.others[static_cast<std::size_t>(r)] = std::move(list);
-  }
 
   // Covered range of my domain (st_loc/end_loc), from the received request
   // lists; Allgather so every rank can compute every aggregator's windows,
   // and derive the interleaving depth (max cycles over aggregators).
   Range my_loc{std::numeric_limits<std::uint64_t>::max(), 0};
-  if (plan.my_agg_index >= 0) {
-    for (const auto& list : plan.others) {
-      if (list.empty()) continue;
-      my_loc.st = std::min(my_loc.st, list.front().offset);
-      my_loc.end = std::max(my_loc.end, list.back().end());
-    }
+  for (const SourceExtents& source : plan.others) {
+    my_loc.st = std::min(my_loc.st, source.extents.front().offset);
+    my_loc.end = std::max(my_loc.end, source.extents.back().end());
   }
   const auto all_locs = mpi::coll_run(self, comm, mpi::CollKind::Allgather,
                                       mpi::detail::to_bytes(my_loc));
-  plan.loc_shared = mpi::shared_once<std::vector<Range>>(self, comm, [&] {
-    std::vector<Range> table;
-    table.reserve(options.aggregators.size());
+  plan.loc_shared = mpi::shared_once<LocTable>(self, comm, [&] {
+    LocTable table;
+    table.locs.reserve(options.aggregators.size());
     for (int agg_rank : options.aggregators) {
-      table.push_back(mpi::detail::scalar_from<Range>(
-          (*all_locs)[static_cast<std::size_t>(agg_rank)]));
+      const Range loc = mpi::detail::scalar_from<Range>(
+          (*all_locs)[static_cast<std::size_t>(agg_rank)]);
+      if (!loc.empty()) {
+        table.ntimes = std::max(table.ntimes,
+                                (loc.end - loc.st + plan.cb_buffer_size - 1) /
+                                    plan.cb_buffer_size);
+      }
+      table.locs.push_back(loc);
     }
     return table;
   });
-  for (const Range& loc : *plan.loc_shared) {
-    if (!loc.empty()) {
-      plan.ntimes = std::max(plan.ntimes,
-                             (loc.end - loc.st + plan.cb_buffer_size - 1) /
-                                 plan.cb_buffer_size);
-    }
-  }
+  plan.ntimes = plan.loc_shared->ntimes;
   return plan;
 }
 
+/// (peer local rank, bytes) entries of a cycle's sparse size exchange,
+/// ascending by rank.
+using SizeList = std::vector<mpi::PeerValue<std::uint32_t>>;
+
 /// This rank's part of one cycle: for each aggregator whose window holds
-/// some of my request, the pieces and their byte total, plus the size
-/// vector (bytes per comm rank) for the cycle's Alltoall.
+/// some of my request, the pieces and their byte total, plus the matching
+/// size list for the cycle's Alltoall.
 struct CycleShares {
   struct Share {
     int rank;  // the aggregator's local rank
@@ -275,13 +280,12 @@ struct CycleShares {
     std::uint64_t bytes;
   };
   std::vector<Share> shares;
-  std::vector<std::uint32_t> sizes;
+  SizeList sizes;  // parallel to shares
 };
 
 CycleShares cycle_shares(const Plan& plan, const CollRequest& request,
                          const Ext2phOptions& options, std::uint64_t t) {
   CycleShares cycle;
-  cycle.sizes.assign(static_cast<std::size_t>(plan.nranks), 0);
   for (int a = plan.a_lo; a <= plan.a_hi; ++a) {
     const Range win = plan.window(a, t);
     if (win.empty()) continue;
@@ -290,8 +294,7 @@ CycleShares cycle_shares(const Plan& plan, const CollRequest& request,
     std::uint64_t bytes = 0;
     for (const Piece& piece : pieces) bytes += piece.length;
     const int agg_rank = options.aggregators[static_cast<std::size_t>(a)];
-    cycle.sizes[static_cast<std::size_t>(agg_rank)] =
-        static_cast<std::uint32_t>(bytes);
+    cycle.sizes.push_back({agg_rank, static_cast<std::uint32_t>(bytes)});
     cycle.shares.push_back({agg_rank, std::move(pieces), bytes});
   }
   return cycle;
@@ -318,7 +321,7 @@ struct WindowWork {
   struct Entry {
     std::uint64_t offset;
     std::uint64_t length;
-    int source;               // local rank
+    std::size_t slot;         // the source's index in the cycle's SizeList
     std::uint64_t msg_pos;    // byte position within that source's message
   };
   std::vector<Entry> entries;  // sorted by offset
@@ -331,24 +334,27 @@ struct WindowWork {
 };
 
 /// The aggregator's work in its cycle-`t` window: every source's pieces
-/// there, checked against the sizes that source announced.
-WindowWork gather_window_work(const Plan& plan,
-                              const std::vector<std::uint32_t>& sizes,
+/// there, checked against the sizes that source announced. `sizes` and
+/// plan.others both ascend by source rank, so one merge walk pairs them.
+WindowWork gather_window_work(const Plan& plan, const SizeList& sizes,
                               std::uint64_t t) {
   WindowWork work;
   const Range win = plan.window(plan.my_agg_index, t);
   if (win.empty()) return work;
-  for (int r = 0; r < plan.nranks; ++r) {
-    if (sizes[static_cast<std::size_t>(r)] == 0) continue;
-    const auto pieces =
-        clip_extents(plan.others[static_cast<std::size_t>(r)], win.st, win.end);
+  auto source = plan.others.begin();
+  for (std::size_t slot = 0; slot < sizes.size(); ++slot) {
+    const auto [r, size] = sizes[slot];
+    while (source != plan.others.end() && source->rank < r) ++source;
     std::uint64_t msg_pos = 0;
-    for (const fs::Extent& piece : pieces) {
-      work.entries.push_back(
-          WindowWork::Entry{piece.offset, piece.length, r, msg_pos});
-      msg_pos += piece.length;
+    if (source != plan.others.end() && source->rank == r) {
+      for (const fs::Extent& piece :
+           clip_extents(source->extents, win.st, win.end)) {
+        work.entries.push_back(
+            WindowWork::Entry{piece.offset, piece.length, slot, msg_pos});
+        msg_pos += piece.length;
+      }
     }
-    if (msg_pos != sizes[static_cast<std::size_t>(r)]) {
+    if (msg_pos != size) {
       throw std::logic_error(
           "ext2ph: cycle size mismatch between alltoall and request lists");
     }
@@ -387,6 +393,20 @@ void DirectTarget::read(mpi::Rank& self, std::span<const fs::Extent> extents,
   if (r.faulted_seconds > 0) {
     self.times().add(mpi::TimeCat::Faulted, r.faulted_seconds);
   }
+}
+
+AggregatorRoster::AggregatorRoster() {
+  static const auto kEmpty = std::make_shared<const std::vector<int>>();
+  ranks_ = kEmpty;
+}
+
+AggregatorRoster::AggregatorRoster(std::vector<int> ranks) {
+  if (std::adjacent_find(ranks.begin(), ranks.end(), std::greater_equal<>()) !=
+      ranks.end()) {
+    throw std::invalid_argument(
+        "ext2ph: aggregator list must be strictly ascending");
+  }
+  ranks_ = std::make_shared<const std::vector<int>>(std::move(ranks));
 }
 
 std::vector<int> default_aggregators(const machine::Topology& topology,
@@ -459,16 +479,14 @@ Ext2phOutcome ext2ph_write(mpi::Rank& self, const mpi::Comm& comm,
 
     // Per-cycle coordination: the Alltoall of cycle sizes. This is the
     // synchronization the paper's collective wall is made of.
-    const auto recv_sizes = mpi::alltoall(self, comm, cycle.sizes);
+    const auto recv_sizes = mpi::alltoall_sparse(self, comm, cycle.sizes);
 
     std::vector<mpi::Request> requests;
-    std::vector<std::vector<std::byte>> recv_buffers(
-        static_cast<std::size_t>(plan.nranks));
+    std::vector<std::vector<std::byte>> recv_buffers(recv_sizes.size());
     if (plan.my_agg_index >= 0) {
-      for (int r = 0; r < plan.nranks; ++r) {
-        const std::uint32_t n = recv_sizes[static_cast<std::size_t>(r)];
-        if (n == 0) continue;
-        auto& buffer = recv_buffers[static_cast<std::size_t>(r)];
+      for (std::size_t slot = 0; slot < recv_sizes.size(); ++slot) {
+        const auto [r, n] = recv_sizes[slot];
+        auto& buffer = recv_buffers[slot];
         if (byte_true) buffer.resize(n);
         requests.push_back(p2p.irecv(self, comm, r, tag,
                                      byte_true ? buffer.data() : nullptr, n));
@@ -513,9 +531,7 @@ Ext2phOutcome ext2ph_write(mpi::Rank& self, const mpi::Comm& comm,
     if (window != nullptr) {
       for (const auto& entry : work.entries) {
         std::memcpy(window + (entry.offset - work.lo),
-                    recv_buffers[static_cast<std::size_t>(entry.source)]
-                            .data() +
-                        entry.msg_pos,
+                    recv_buffers[entry.slot].data() + entry.msg_pos,
                     entry.length);
       }
     }
@@ -549,7 +565,7 @@ Ext2phOutcome ext2ph_read(mpi::Rank& self, const mpi::Comm& comm,
     const int tag = kTagData + static_cast<int>(t);
     // What I want from each aggregator's window this cycle.
     const CycleShares cycle = cycle_shares(plan, request, options, t);
-    const auto asked_sizes = mpi::alltoall(self, comm, cycle.sizes);
+    const auto asked_sizes = mpi::alltoall_sparse(self, comm, cycle.sizes);
 
     // Post my receives for the data I asked for.
     std::vector<mpi::Request> requests;
@@ -575,26 +591,23 @@ Ext2phOutcome ext2ph_read(mpi::Rank& self, const mpi::Comm& comm,
       window_buffer.assign(byte_true ? span.length : 0, std::byte{0});
       target.read(self, std::span(&span, 1),
                   byte_true ? window_buffer.data() : nullptr);
-      reply_buffers.resize(static_cast<std::size_t>(plan.nranks));
+      reply_buffers.resize(asked_sizes.size());
       if (byte_true) {
         for (const auto& entry : work.entries) {
-          auto& reply = reply_buffers[static_cast<std::size_t>(entry.source)];
+          auto& reply = reply_buffers[entry.slot];
           if (reply.capacity() == 0) {
-            reply.reserve(asked_sizes[static_cast<std::size_t>(entry.source)]);
+            reply.reserve(asked_sizes[entry.slot].value);
           }
           const auto* begin = window_buffer.data() + (entry.offset - work.lo);
           reply.insert(reply.end(), begin, begin + entry.length);
         }
       }
       self.touch_bytes(static_cast<double>(work.total));
-      for (int r = 0; r < plan.nranks; ++r) {
-        const std::uint32_t n = asked_sizes[static_cast<std::size_t>(r)];
-        if (n == 0) continue;
+      for (std::size_t slot = 0; slot < asked_sizes.size(); ++slot) {
+        const auto [r, n] = asked_sizes[slot];
         requests.push_back(p2p.isend(
             self, comm, r, tag,
-            byte_true ? reply_buffers[static_cast<std::size_t>(r)].data()
-                      : nullptr,
-            n));
+            byte_true ? reply_buffers[slot].data() : nullptr, n));
       }
     }
 

@@ -10,11 +10,18 @@
 //                                  I/O aggregators (deterministic, local)
 //   3. request dissemination     — Alltoall of per-aggregator request
 //                                  counts + point-to-point offset lists
-//   4. interleaved data exchange and file I/O — for each cycle, an
-//      Allreduce'd number of times: Alltoall of cycle sizes (the per-cycle
+//   4. interleaved data exchange and file I/O — for each cycle (their
+//      number is the deepest aggregator's, read off the Allgathered table
+//      of covered ranges): Alltoall of cycle sizes (the per-cycle
 //      synchronization that builds the collective wall), isend/irecv data
 //      exchange, and aggregator reads/writes of its collective-buffer
 //      window, with read-modify-write when the received data has holes.
+//
+// The Alltoalls of phases 3 and 4 carry only the nonzero entries
+// (mpi::alltoall_sparse): each rank lists the aggregators it sends to and
+// receives the sources that sent to it, so its host cost follows its own
+// peers, not the communicator size. They are charged as the dense
+// Alltoall of one count per rank, so the simulated wall is unchanged.
 //
 // Extents are expressed in "target space" via the IoTarget seam: the
 // physical file for plain collective I/O, or intermediate-view coordinates
@@ -22,6 +29,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -74,11 +83,33 @@ struct CollRequest {
   }
 };
 
+/// Aggregators as local ranks in the calling communicator: an immutable
+/// list shared by every copy, checked strictly ascending once when built,
+/// so handing one roster to every rank's options costs O(1) per rank.
+class AggregatorRoster {
+ public:
+  AggregatorRoster();
+  /// Throws std::invalid_argument unless `ranks` is strictly ascending.
+  /// Implicit, so options can be assigned a vector or a brace list.
+  AggregatorRoster(std::vector<int> ranks);
+  AggregatorRoster(std::initializer_list<int> ranks)
+      : AggregatorRoster(std::vector<int>(ranks)) {}
+
+  [[nodiscard]] const std::vector<int>& ranks() const { return *ranks_; }
+  [[nodiscard]] std::size_t size() const { return ranks_->size(); }
+  [[nodiscard]] bool empty() const { return ranks_->empty(); }
+  [[nodiscard]] int operator[](std::size_t i) const { return (*ranks_)[i]; }
+  [[nodiscard]] auto begin() const { return ranks_->begin(); }
+  [[nodiscard]] auto end() const { return ranks_->end(); }
+
+ private:
+  std::shared_ptr<const std::vector<int>> ranks_;
+};
+
 struct Ext2phOptions {
   std::uint64_t cb_buffer_size = 4ull << 20;
-  /// Aggregators as local ranks in the calling communicator, sorted
-  /// ascending. Must not be empty.
-  std::vector<int> aggregators;
+  /// Must not be empty.
+  AggregatorRoster aggregators;
   /// When nonzero, file-domain boundaries are rounded up to multiples of
   /// this (the stripe size): the Lustre-aware ADIO optimization that keeps
   /// any one stripe inside a single aggregator's domain, avoiding shared

@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <numeric>
+#include <stdexcept>
 
 #include "mpi/collectives.hpp"
 #include "mpiio/ext2ph.hpp"
@@ -332,6 +333,23 @@ TEST(DefaultAggregators, SubcommunicatorOnlySeesItsNodes) {
   hints.cb_nodes = 4;  // node-based selection; only 2 nodes host members
   const auto aggregators = default_aggregators(topo, comm, hints);
   EXPECT_EQ(aggregators, (std::vector<int>{0, 2}));  // local ranks of 4 and 6
+}
+
+TEST(AggregatorRoster, RejectsUnsortedAndDuplicateRanks) {
+  EXPECT_THROW(AggregatorRoster({2, 1}), std::invalid_argument);
+  EXPECT_THROW(AggregatorRoster({0, 3, 3}), std::invalid_argument);
+  EXPECT_NO_THROW(AggregatorRoster({0, 3, 5}));
+  EXPECT_TRUE(AggregatorRoster().empty());
+}
+
+TEST(AggregatorRoster, CopiesShareOneList) {
+  // Every rank's options hold the same list, not a private copy of it.
+  const AggregatorRoster roster(std::vector<int>{0, 2, 4, 6});
+  Ext2phOptions options;
+  options.aggregators = roster;
+  EXPECT_EQ(options.aggregators.ranks().data(), roster.ranks().data());
+  EXPECT_EQ(options.aggregators.ranks(), (std::vector<int>{0, 2, 4, 6}));
+  EXPECT_EQ(options.aggregators[3], 6);
 }
 
 }  // namespace

@@ -54,9 +54,10 @@ struct Harness {
 };
 
 Ext2phOptions all_aggs(int nranks, std::uint64_t cb = 4096) {
+  std::vector<int> aggregators(static_cast<std::size_t>(nranks));
+  std::iota(aggregators.begin(), aggregators.end(), 0);
   Ext2phOptions options;
-  options.aggregators.resize(static_cast<std::size_t>(nranks));
-  std::iota(options.aggregators.begin(), options.aggregators.end(), 0);
+  options.aggregators = std::move(aggregators);
   options.cb_buffer_size = cb;
   return options;
 }

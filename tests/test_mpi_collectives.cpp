@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 
 #include "mpi/collectives.hpp"
 #include "mpi/runtime.hpp"
+#include "sim/random.hpp"
 
 namespace parcoll::mpi {
 namespace {
@@ -241,6 +243,179 @@ TEST(Collectives, SmallerGroupsSynchronizeCheaper) {
     return total;
   };
   EXPECT_LT(sync_of(64, 8), sync_of(64, 1) / 2.0);
+}
+
+/// What a run of the sparse-pattern program observed: per world rank, the
+/// values received in every round (expanded to one per comm rank) and the
+/// clock after every call, plus each rank's final Sync seconds.
+struct PatternRun {
+  std::vector<std::vector<std::uint32_t>> received;
+  std::vector<std::vector<double>> clocks;
+  std::vector<double> sync;
+};
+
+/// Three rounds of a pseudo-random sparse personalized exchange over the
+/// world (or, with `split`, over two reverse-ordered halves of it), with
+/// staggered arrivals. Every third comm rank sends nothing; every rank
+/// whose comm rank is divisible by three also addresses itself. The dense
+/// variant sends the same pattern with zeros in the holes.
+PatternRun run_pattern(int nranks, bool split, bool sparse) {
+  World world = make_world(nranks);
+  PatternRun run;
+  run.received.resize(static_cast<std::size_t>(nranks));
+  run.clocks.resize(static_cast<std::size_t>(nranks));
+  world.run([&](Rank& self) {
+    Comm comm = self.comm_world();
+    if (split) {
+      comm = comm_split(self, comm, self.rank() % 2, -self.rank());
+    }
+    const int me = comm.local_rank(self.rank());
+    auto& received = run.received[static_cast<std::size_t>(self.rank())];
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      self.busy(TimeCat::Compute,
+                1e-4 * static_cast<double>((self.rank() * 7 + round * 3) % 5));
+      std::vector<std::uint32_t> dense(static_cast<std::size_t>(comm.size()));
+      std::vector<PeerValue<std::uint32_t>> entries;
+      for (int peer = 0; peer < comm.size(); ++peer) {
+        const std::uint64_t h = sim::mix64(sim::hash_combine(
+            sim::hash_combine(round, static_cast<std::uint64_t>(me)),
+            static_cast<std::uint64_t>(peer)));
+        const bool self_entry = peer == me && me % 3 == 0;
+        if (me % 3 == 1 || (h % 3 != 0 && !self_entry)) continue;
+        const auto value = static_cast<std::uint32_t>(h >> 32) | 1u;
+        dense[static_cast<std::size_t>(peer)] = value;
+        entries.push_back({peer, value});
+      }
+      if (sparse) {
+        std::vector<std::uint32_t> expanded(
+            static_cast<std::size_t>(comm.size()));
+        int previous = -1;
+        for (const auto& [source, value] :
+             alltoall_sparse(self, comm, entries)) {
+          EXPECT_GT(source, previous);  // ascending by source
+          previous = source;
+          expanded[static_cast<std::size_t>(source)] = value;
+        }
+        received.insert(received.end(), expanded.begin(), expanded.end());
+      } else {
+        const auto got = alltoall(self, comm, dense);
+        received.insert(received.end(), got.begin(), got.end());
+      }
+      run.clocks[static_cast<std::size_t>(self.rank())].push_back(self.now());
+    }
+  });
+  for (const auto& breakdown : world.rank_times()) {
+    run.sync.push_back(breakdown[TimeCat::Sync]);
+  }
+  return run;
+}
+
+TEST(AlltoallSparse, MatchesDenseValuesSyncAndClocks) {
+  for (const int nranks : {1, 2, 7, 64}) {
+    for (const bool split : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "P=" << nranks << (split ? " split" : " world"));
+      const PatternRun dense = run_pattern(nranks, split, /*sparse=*/false);
+      const PatternRun sparse = run_pattern(nranks, split, /*sparse=*/true);
+      EXPECT_EQ(sparse.received, dense.received);
+      // Exact equality: the sparse exchange is charged as the dense one.
+      EXPECT_EQ(sparse.clocks, dense.clocks);
+      EXPECT_EQ(sparse.sync, dense.sync);
+    }
+  }
+}
+
+TEST(AlltoallSparse, PatternReachesTheRightPeers) {
+  // Rank r sends r*10 + d to d = r+1 (and to itself when r is even); rank
+  // 3 sends nothing.
+  World world = make_world(4);
+  std::vector<std::vector<PeerValue<int>>> results(4);
+  world.run([&](Rank& self) {
+    const int r = self.rank();
+    std::vector<PeerValue<int>> send;
+    if (r != 3) {
+      if (r % 2 == 0) send.push_back({r, r * 10 + r});
+      send.push_back({r + 1, r * 10 + r + 1});
+    }
+    results[static_cast<std::size_t>(r)] =
+        alltoall_sparse(self, self.comm_world(), send);
+  });
+  const auto flat = [](const std::vector<PeerValue<int>>& got) {
+    std::vector<std::pair<int, int>> out;
+    for (const auto& [rank, value] : got) out.emplace_back(rank, value);
+    return out;
+  };
+  using Pairs = std::vector<std::pair<int, int>>;
+  EXPECT_EQ(flat(results[0]), (Pairs{{0, 0}}));
+  EXPECT_EQ(flat(results[1]), (Pairs{{0, 1}}));
+  EXPECT_EQ(flat(results[2]), (Pairs{{1, 12}, {2, 22}}));
+  EXPECT_EQ(flat(results[3]), (Pairs{{2, 23}}));
+}
+
+TEST(AlltoallSparse, RejectsUnsortedDuplicateAndOutOfRangePeers) {
+  const std::vector<std::vector<PeerValue<int>>> bad = {
+      {{1, 5}, {0, 5}},  // descending
+      {{1, 5}, {1, 6}},  // duplicate
+      {{3, 5}},          // == comm.size()
+      {{-1, 5}},         // negative
+  };
+  for (const auto& send : bad) {
+    World world = make_world(3);
+    EXPECT_THROW(world.run([&](Rank& self) {
+                   alltoall_sparse(self, self.comm_world(), send);
+                 }),
+                 std::invalid_argument);
+  }
+}
+
+TEST(Collectives, FoldedAllreduceMatchesALocalFoldOnASubcommunicator) {
+  // The reference is the unfolded exchange of the same kind, folded by
+  // every rank in local-rank order: same value to the last bit (a
+  // floating-point sum is order sensitive) and the same Sync time.
+  struct Observed {
+    std::vector<double> values;
+    std::vector<double> sync;
+    std::vector<double> clocks;
+  };
+  const auto run = [](bool folded) {
+    constexpr int kRanks = 6;
+    World world = make_world(kRanks);
+    Observed seen{std::vector<double>(kRanks), {},
+                  std::vector<double>(kRanks)};
+    world.run([&](Rank& self) {
+      const Comm sub =
+          comm_split(self, self.comm_world(), self.rank() % 2, -self.rank());
+      self.busy(TimeCat::Compute, 1e-3 * self.rank());
+      // In local-rank order (1 + 1e16) - 1e16 == 0; any other order of
+      // these three addends gives 1.
+      const double addends[] = {1.0, 1e16, -1e16};
+      const double value = addends[sub.local_rank(self.rank())];
+      double result = 0.0;
+      if (folded) {
+        result = allreduce_sum(self, sub, value);
+      } else {
+        const auto all =
+            coll_run(self, sub, CollKind::Allreduce, detail::to_bytes(value));
+        result = detail::scalar_from<double>((*all)[0]);
+        for (std::size_t i = 1; i < all->size(); ++i) {
+          result = result + detail::scalar_from<double>((*all)[i]);
+        }
+      }
+      seen.values[static_cast<std::size_t>(self.rank())] = result;
+      seen.clocks[static_cast<std::size_t>(self.rank())] = self.now();
+    });
+    for (const auto& breakdown : world.rank_times()) {
+      seen.sync.push_back(breakdown[TimeCat::Sync]);
+    }
+    return seen;
+  };
+  const Observed folded = run(true);
+  const Observed reference = run(false);
+  EXPECT_EQ(folded.values, reference.values);
+  EXPECT_EQ(folded.sync, reference.sync);
+  EXPECT_EQ(folded.clocks, reference.clocks);
+  EXPECT_EQ(folded.values, std::vector<double>(6, 0.0));
+  EXPECT_GT(folded.sync[0], 0.0);  // rank 0 waited for rank 4
 }
 
 }  // namespace

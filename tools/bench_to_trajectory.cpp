@@ -20,9 +20,10 @@
 // --check-regression BASELINE.json PCT compares the inputs against the
 // *last* run recorded in the baseline trajectory and exits non-zero when
 // any deterministic perf key worsened by more than PCT percent. Only
-// virtual-time metrics are gated (bandwidth, elapsed, durability, latency
-// quantiles) — host-wall throughput (events_per_s, wall_s, ...) varies
-// machine to machine and is reported but never gated. Points or keys the
+// deterministic metrics are gated: virtual time (bandwidth, elapsed,
+// durability, latency quantiles) and the engine's event count — host-wall
+// throughput (events_per_s, wall_s, ...) varies machine to machine and is
+// reported but never gated. Points or keys the
 // baseline lacks are skipped, so new benches and new keys land cleanly.
 #include <cmath>
 #include <cstdio>
@@ -82,7 +83,7 @@ JsonValue fold_bench(const JsonValue& doc) {
             "schedules", "distinct_schedules", "invariant_checks",
             "schedules_per_s", "violations", "host_elapsed_s",
             // micro_engine rows: DES engine scaling trend signal.
-            "events_per_s", "wall_s", "peak_queue_depth",
+            "events", "events_per_s", "wall_s", "peak_queue_depth",
             "stacks_allocated", "stacks_reused", "peak_rss_mib",
             "speedup_vs_seed", "bit_identical"}) {
         const JsonValue* value = point.find(key);
@@ -95,7 +96,8 @@ JsonValue fold_bench(const JsonValue& doc) {
   return entry;
 }
 
-/// Gated keys: deterministic virtual-time metrics only. `higher_better`
+/// Gated keys: deterministic metrics only (virtual time, and the number of
+/// events a run executes, which is fixed by its schedule). `higher_better`
 /// says which direction is an improvement. Host-wall keys (events_per_s,
 /// wall_s, schedules_per_s, host_elapsed_s, peak_rss_mib, speedup_vs_seed)
 /// are not listed: they depend on the machine running the bench, so gating
@@ -108,7 +110,7 @@ struct GatedKey {
 constexpr GatedKey kGatedKeys[] = {
     {"bandwidth_mib_s", true},  {"elapsed_s", false},
     {"durable_elapsed_s", false}, {"rpc_p99_s", false},
-    {"cycle_p99_s", false},
+    {"cycle_p99_s", false},     {"events", false},
 };
 
 const JsonValue* find_bench(const JsonValue& run, const std::string& name) {
