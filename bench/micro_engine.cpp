@@ -5,7 +5,7 @@
 //  1. Bit-identity gate (always on): re-runs two small byte-true workloads
 //     (tile + IOR) in sequential/program-order mode and compares content
 //     digest, schedule token, and simulated clocks against constants pinned
-//     from the pre-calendar-queue engine. Any drift means the engine's
+//     from the original binary-heap engine. Any drift means the engine's
 //     (time, seq) total order changed — a correctness bug, not a tuning
 //     matter — and the bench exits non-zero so CI fails.
 //
@@ -13,7 +13,8 @@
 //     spawn-churn phase that exercises the fiber stack pool, a ParColl IOR
 //     run at scale, and the default 128-call ext2ph IOR at 512 ranks (the
 //     per-call collective setup that a one-call run hides). Reports host
-//     events/s, queue depth, stack pool hits, and peak RSS; --json feeds
+//     events/s, queue depth, stack pool hits, and each row's peak RSS when
+//     it raised the process high-water mark; --json feeds
 //     bench_to_trajectory, which gates the deterministic event counts and
 //     virtual elapsed times, never the host wall or RSS.
 //
@@ -39,7 +40,7 @@ using workloads::RunSpec;
 
 // Golden values captured from the pre-PR engine (binary-heap queue,
 // ucontext fibers, 256 KiB stacks) for the same configs, byte-true,
-// program-order schedule. The calendar queue, callback arena, pooled
+// program-order schedule. The POD event heap, callback arena, pooled
 // stacks, and fast context switch must reproduce every one of them
 // bit-for-bit.
 struct Golden {
@@ -149,15 +150,27 @@ bool run_identity_gate(bench::BenchReport& report) {
   return tile_ok && ior_ok;
 }
 
+/// Process high-water mark (VmHWM) when the previous row finished.
+std::uint64_t g_rss_mark = 0;
+
 std::vector<std::pair<std::string, double>> engine_extras(
     const sim::EngineStats& stats) {
-  return {{"events", (double)stats.events_executed},
-          {"events_per_s", stats.events_per_second()},
-          {"wall_s", stats.run_wall_seconds},
-          {"peak_queue_depth", (double)stats.peak_queue_depth},
-          {"stacks_allocated", (double)stats.stacks_allocated},
-          {"stacks_reused", (double)stats.stacks_reused},
-          {"peak_rss_mib", (double)sim::peak_rss_bytes() / (1 << 20)}};
+  std::vector<std::pair<std::string, double>> extras = {
+      {"events", (double)stats.events_executed},
+      {"events_per_s", stats.events_per_second()},
+      {"wall_s", stats.run_wall_seconds},
+      {"peak_queue_depth", (double)stats.peak_queue_depth},
+      {"stacks_allocated", (double)stats.stacks_allocated},
+      {"stacks_reused", (double)stats.stacks_reused}};
+  // VmHWM only ever rises. If this row raised it, it is exactly this row's
+  // peak; otherwise it is an earlier row's, and repeating it would say
+  // nothing about this run, so the key is left out.
+  const std::uint64_t hwm = sim::peak_rss_bytes();
+  if (hwm > g_rss_mark) {
+    extras.emplace_back("peak_rss_mib", (double)hwm / (1 << 20));
+    g_rss_mark = hwm;
+  }
+  return extras;
 }
 
 /// Sleep storm: every rank does `rounds` pseudo-random sleeps, all ranks
@@ -227,19 +240,20 @@ int main(int argc, char** argv) {
   bench::BenchReport report("micro_engine", argc, argv);
 
   bench::header("micro_engine",
-                "DES engine scaling: calendar queue, arena events, pooled "
-                "small-stack fibers");
+                "DES engine scaling: binary-heap event queue, arena events, "
+                "pooled small-stack fibers");
 
   std::printf("bit-identity gate (sequential mode vs pre-PR pins):\n");
   const bool identical = run_identity_gate(report);
+  g_rss_mark = sim::peak_rss_bytes();
 
   {
     // The paper's baseline at the default IOR configuration: 512 MiB per
     // rank in 4 MiB transfers, so 128 collective writes, each with its own
     // planning and per-cycle Alltoall. A host cost that grows with P per
     // call multiplies by 128 here, where a one-call run would hide it.
-    // Runs before the storms: peak RSS is the process high-water mark, so
-    // this row's reading is its own run's.
+    // Runs before the storms, whose higher peaks would otherwise hide its
+    // peak RSS (a row reports one only when it raises the high-water mark).
     const int nranks = 512;
     std::printf("ext2ph IOR, default config (%d ranks, 128 calls, phantom "
                 "payloads):\n",

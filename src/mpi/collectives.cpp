@@ -199,15 +199,6 @@ std::shared_ptr<const void> CollEngine::shared_fetch(
   return result;
 }
 
-const Comm* CollEngine::cached_split(std::uint64_t ctx) const {
-  const auto it = split_cache_.find(ctx);
-  return it == split_cache_.end() ? nullptr : &it->second;
-}
-
-void CollEngine::cache_split(const Comm& comm) {
-  split_cache_.emplace(comm.context_id(), comm);
-}
-
 std::shared_ptr<const void> CollEngine::cached_attr(std::uint64_t ctx,
                                                     std::uint64_t key) const {
   const auto it = attr_cache_.find({ctx, key});
@@ -277,54 +268,48 @@ std::uint64_t sendrecv(Rank& self, const Comm& comm, int dst, int send_tag,
 }
 
 Comm comm_split(Rank& self, const Comm& comm, int color, int key) {
-  // Gather (color, key, world rank) from everyone; build my color's comm.
+  // Gather (color, key, world rank) from everyone; the last arriver builds
+  // every color's communicator once and each member takes its own, so no
+  // rank pays an O(P) scan or holds a private copy of its member table.
   struct Entry {
     int color;
     int key;
     int world;
   };
-  const std::uint64_t seq = self.next_coll_seq(comm.context_id());
-  // Reuse the allgather machinery for the split's metadata exchange. Note:
-  // the sequence number above is reserved for context derivation; the
-  // allgather below consumes the next one, which is fine because all ranks
+  // The sequence number reserved here derives the context ids; the
+  // exchange below consumes the next one, which is fine because all ranks
   // do both in the same order.
-  auto all = coll_run(self, comm, CollKind::Allgather,
-                      detail::to_bytes(Entry{color, key, self.rank()}));
-
+  const std::uint64_t seq = self.next_coll_seq(comm.context_id());
   auto& colls = self.world().colls();
-  const std::uint64_t my_ctx =
-      colls.derive_context(comm.context_id(), seq, color);
-  // The first member through builds every color's communicator from the
-  // shared exchange and publishes them by derived context id; everyone
-  // else aliases a published member table. Building per caller would cost
-  // an O(P) scan per rank plus an O(group) private copy per member —
-  // quadratic on wide communicators.
-  if (const Comm* cached = colls.cached_split(my_ctx)) {
-    return *cached;
-  }
-  std::map<int, std::vector<Entry>> by_color;
-  for (const auto& bytes : *all) {
-    const Entry entry = detail::scalar_from<Entry>(bytes);
-    by_color[entry.color].push_back(entry);
-  }
-  Comm mine;
-  for (auto& [group_color, group] : by_color) {
-    std::sort(group.begin(), group.end(), [](const Entry& a, const Entry& b) {
-      return std::tie(a.key, a.world) < std::tie(b.key, b.world);
-    });
-    std::vector<int> members;
-    members.reserve(group.size());
-    for (const Entry& entry : group) {
-      members.push_back(entry.world);
-    }
-    Comm built(colls.derive_context(comm.context_id(), seq, group_color),
-               std::move(members));
-    if (group_color == color) {
-      mine = built;
-    }
-    colls.cache_split(built);
-  }
-  return mine;
+  const auto comms = coll_fold<std::map<int, Comm>>(
+      self, comm, CollKind::Allgather,
+      detail::to_bytes(Entry{color, key, self.rank()}),
+      [&](const CollContribs& all) {
+        std::map<int, std::vector<Entry>> by_color;
+        for (const auto& bytes : all) {
+          const Entry entry = detail::scalar_from<Entry>(bytes);
+          by_color[entry.color].push_back(entry);
+        }
+        std::map<int, Comm> built;
+        for (auto& [group_color, group] : by_color) {
+          std::sort(group.begin(), group.end(),
+                    [](const Entry& a, const Entry& b) {
+                      return std::tie(a.key, a.world) <
+                             std::tie(b.key, b.world);
+                    });
+          std::vector<int> members;
+          members.reserve(group.size());
+          for (const Entry& entry : group) {
+            members.push_back(entry.world);
+          }
+          built.emplace(group_color,
+                        Comm(colls.derive_context(comm.context_id(), seq,
+                                                  group_color),
+                             std::move(members)));
+        }
+        return built;
+      });
+  return comms->at(color);
 }
 
 Comm comm_dup(Rank& self, const Comm& comm) {

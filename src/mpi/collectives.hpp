@@ -21,7 +21,10 @@
 // rank pays for its own answer rather than for scanning P contributions.
 // The fold runs inside the exchange's own operation and takes no sequence
 // number of its own; an optional nominal contribution size lets a compact
-// encoding be charged as the dense exchange it stands for.
+// encoding be charged as the dense exchange it stands for. A fold is also
+// the one way to share a value derived from an exchange (comm_split's
+// communicators, allgather_shared's vector); shared_once is only for
+// values that no single exchange determines.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +35,6 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "machine/machine_model.hpp"
@@ -100,12 +102,6 @@ class CollEngine {
       Rank& self, const Comm& comm,
       const std::function<std::shared_ptr<const void>()>& build);
 
-  /// comm_split memo: every same-color member of one split builds an
-  /// identical communicator, so the first member through publishes the
-  /// results by derived context id and the rest alias the member tables.
-  [[nodiscard]] const Comm* cached_split(std::uint64_t ctx) const;
-  void cache_split(const Comm& comm);
-
   /// Communicator attributes (the role of MPI_Comm_set_attr): a structure
   /// every member derives identically from a communicator, cached by
   /// (context id, attribute key) so members share one copy instead of
@@ -139,7 +135,6 @@ class CollEngine {
   const machine::NetworkParams& net_;
   std::map<OpKey, Op> ops_;
   std::map<OpKey, SharedVal> shared_vals_;
-  std::unordered_map<std::uint64_t, Comm> split_cache_;
   std::map<OpKey, std::shared_ptr<const void>> attr_cache_;
 };
 
@@ -322,7 +317,9 @@ std::shared_ptr<const void> coll_shared_fetch(
 
 /// Typed front end to CollEngine::shared_fetch: every member of `comm`
 /// calls with a `build` that deterministically computes the same T; one
-/// member runs it and all of them receive the same immutable object.
+/// member runs it and all of them receive the same immutable object. A
+/// value computed from one exchange's contributions belongs in that
+/// exchange's fold (coll_fold) instead.
 template <typename T, typename Build>
 std::shared_ptr<const T> shared_once(Rank& self, const Comm& comm,
                                      Build&& build) {
@@ -342,15 +339,16 @@ template <typename T>
 std::shared_ptr<const std::vector<T>> allgather_shared(Rank& self,
                                                        const Comm& comm,
                                                        const T& value) {
-  auto all = coll_run(self, comm, CollKind::Allgather, detail::to_bytes(value));
-  return shared_once<std::vector<T>>(self, comm, [&] {
-    std::vector<T> result;
-    result.reserve(all->size());
-    for (const auto& contribution : *all) {
-      result.push_back(detail::scalar_from<T>(contribution));
-    }
-    return result;
-  });
+  return coll_fold<std::vector<T>>(
+      self, comm, CollKind::Allgather, detail::to_bytes(value),
+      [](const CollContribs& all) {
+        std::vector<T> result;
+        result.reserve(all.size());
+        for (const auto& contribution : all) {
+          result.push_back(detail::scalar_from<T>(contribution));
+        }
+        return result;
+      });
 }
 
 template <typename T>

@@ -155,19 +155,19 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
   }
   // Exchange bytes identical to a plain allgather; the min/max fold over
   // the P ranges runs once and every rank reads the two shared scalars.
-  const auto all_ranges = mpi::coll_run(self, comm, mpi::CollKind::Allgather,
-                                        mpi::detail::to_bytes(mine));
-  const auto bounds = mpi::shared_once<Range>(self, comm, [&] {
-    Range folded{std::numeric_limits<std::uint64_t>::max(), 0};
-    for (const auto& contribution : *all_ranges) {
-      const Range range = mpi::detail::scalar_from<Range>(contribution);
-      if (!range.empty()) {  // rank actually has data
-        folded.st = std::min(folded.st, range.st);
-        folded.end = std::max(folded.end, range.end);
-      }
-    }
-    return folded;
-  });
+  const auto bounds = mpi::coll_fold<Range>(
+      self, comm, mpi::CollKind::Allgather, mpi::detail::to_bytes(mine),
+      [](const mpi::CollContribs& all) {
+        Range folded{std::numeric_limits<std::uint64_t>::max(), 0};
+        for (const auto& contribution : all) {
+          const Range range = mpi::detail::scalar_from<Range>(contribution);
+          if (!range.empty()) {  // rank actually has data
+            folded.st = std::min(folded.st, range.st);
+            folded.end = std::max(folded.end, range.end);
+          }
+        }
+        return folded;
+      });
   plan.min_st = bounds->st;
   plan.max_end = bounds->end;
   if (plan.max_end <= plan.min_st) {
@@ -245,23 +245,24 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
     my_loc.st = std::min(my_loc.st, source.extents.front().offset);
     my_loc.end = std::max(my_loc.end, source.extents.back().end());
   }
-  const auto all_locs = mpi::coll_run(self, comm, mpi::CollKind::Allgather,
-                                      mpi::detail::to_bytes(my_loc));
-  plan.loc_shared = mpi::shared_once<LocTable>(self, comm, [&] {
-    LocTable table;
-    table.locs.reserve(options.aggregators.size());
-    for (int agg_rank : options.aggregators) {
-      const Range loc = mpi::detail::scalar_from<Range>(
-          (*all_locs)[static_cast<std::size_t>(agg_rank)]);
-      if (!loc.empty()) {
-        table.ntimes = std::max(table.ntimes,
-                                (loc.end - loc.st + plan.cb_buffer_size - 1) /
-                                    plan.cb_buffer_size);
-      }
-      table.locs.push_back(loc);
-    }
-    return table;
-  });
+  plan.loc_shared = mpi::coll_fold<LocTable>(
+      self, comm, mpi::CollKind::Allgather, mpi::detail::to_bytes(my_loc),
+      [&](const mpi::CollContribs& all) {
+        LocTable table;
+        table.locs.reserve(options.aggregators.size());
+        for (int agg_rank : options.aggregators) {
+          const Range loc = mpi::detail::scalar_from<Range>(
+              all[static_cast<std::size_t>(agg_rank)]);
+          if (!loc.empty()) {
+            table.ntimes =
+                std::max(table.ntimes,
+                         (loc.end - loc.st + plan.cb_buffer_size - 1) /
+                             plan.cb_buffer_size);
+          }
+          table.locs.push_back(loc);
+        }
+        return table;
+      });
   plan.ntimes = plan.loc_shared->ntimes;
   return plan;
 }

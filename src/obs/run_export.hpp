@@ -28,7 +28,7 @@ namespace parcoll::obs {
 class MetricsRegistry;
 
 inline constexpr const char* kRunSchema = "parcoll-run";
-inline constexpr int kRunSchemaVersion = 2;
+inline constexpr int kRunSchemaVersion = 3;
 
 [[nodiscard]] JsonValue time_breakdown_json(const mpi::TimeBreakdown& time);
 [[nodiscard]] JsonValue metrics_json(const MetricsRegistry& metrics);

@@ -1,11 +1,13 @@
-// Engine scaling layer: calendar queue order exactness, golden
+// Engine scaling layer: event queue order exactness, golden
 // bit-identity pins, stack-pool reuse under churn, WaitQueue FIFO at
 // depth, deadlock message stability, and stack-size knob validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,22 +20,25 @@
 namespace parcoll {
 namespace {
 
-using sim::CalendarQueue;
 using sim::Engine;
+using sim::EventQueue;
 using sim::QueuedEvent;
 using sim::WaitQueue;
 
-bool ordered_before(const QueuedEvent& a, const QueuedEvent& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.seq < b.seq;
-}
+struct OrderedBefore {
+  bool operator()(const QueuedEvent& a, const QueuedEvent& b) const {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+};
 
-/// Drive the calendar queue and a sorted reference through the same
-/// push/pop trace; every pop must return the exact (time, seq) minimum.
+/// Drive the event queue and a sorted reference through the same push/pop
+/// trace; every pop must return the exact (time, seq) minimum, and the
+/// prefetch hint must name the pid of the exact second-minimal event.
 void check_against_reference(const std::vector<QueuedEvent>& pushes,
                              std::mt19937_64& rng) {
-  CalendarQueue queue;
-  std::vector<QueuedEvent> reference;  // kept sorted descending
+  EventQueue queue;
+  std::set<QueuedEvent, OrderedBefore> reference;
   std::size_t fed = 0;
   std::uint64_t popped = 0;
   while (fed < pushes.size() || !queue.empty()) {
@@ -41,21 +46,17 @@ void check_against_reference(const std::vector<QueuedEvent>& pushes,
     const bool do_push = can_push && (queue.empty() || (rng() & 1) != 0);
     if (do_push) {
       queue.push(pushes[fed]);
-      reference.push_back(pushes[fed]);
-      std::push_heap(reference.begin(), reference.end(),
-                     [](const QueuedEvent& a, const QueuedEvent& b) {
-                       return !ordered_before(a, b);
-                     });
+      reference.insert(pushes[fed]);
       ++fed;
     } else {
       ASSERT_FALSE(reference.empty());
-      std::pop_heap(reference.begin(), reference.end(),
-                    [](const QueuedEvent& a, const QueuedEvent& b) {
-                      return !ordered_before(a, b);
-                    });
-      const QueuedEvent want = reference.back();
-      reference.pop_back();
+      const QueuedEvent want = *reference.begin();
+      const int want_second =
+          reference.size() < 2 ? -1 : std::next(reference.begin())->pid;
+      reference.erase(reference.begin());
       const QueuedEvent peeked = queue.peek();
+      ASSERT_EQ(queue.second_pid_hint(), want_second)
+          << "after " << popped << " pops";
       const QueuedEvent got = queue.pop();
       ASSERT_EQ(got.time, want.time) << "after " << popped << " pops";
       ASSERT_EQ(got.seq, want.seq) << "after " << popped << " pops";
@@ -68,7 +69,7 @@ void check_against_reference(const std::vector<QueuedEvent>& pushes,
   EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(CalendarQueue, MatchesReferenceOrderAcrossRegimes) {
+TEST(EventQueue, MatchesReferenceOrderAcrossRegimes) {
   std::mt19937_64 rng(20260808);
   std::uint64_t seq = 0;
   std::vector<QueuedEvent> pushes;
@@ -86,8 +87,8 @@ TEST(CalendarQueue, MatchesReferenceOrderAcrossRegimes) {
     const double t = 1e-3 * std::uniform_real_distribution<>(0.0, 50.0)(rng);
     pushes.push_back({t, seq++, i, 0});
   }
-  // Far-future spikes that must ride the overflow tier, plus events pushed
-  // "behind" them that still pop first.
+  // Far-future spikes, plus events pushed "behind" them that still pop
+  // first.
   for (int i = 0; i < 500; ++i) {
     pushes.push_back({1e6 + static_cast<double>(rng() % 1000), seq++, i, 0});
     pushes.push_back({1e-4 * static_cast<double>(rng() % 100), seq++, i, 0});
@@ -96,10 +97,10 @@ TEST(CalendarQueue, MatchesReferenceOrderAcrossRegimes) {
   check_against_reference(pushes, rng);
 }
 
-TEST(CalendarQueue, RepushWithOriginalSeqKeepsPlaceInOrder) {
+TEST(EventQueue, RepushWithOriginalSeqKeepsPlaceInOrder) {
   // The schedule-exploration path pops tied events and re-pushes the losers
   // with their original seq; they must re-emerge exactly where they were.
-  CalendarQueue queue;
+  EventQueue queue;
   const double t = 0.5;
   for (std::uint64_t s = 0; s < 10; ++s) {
     queue.push({t, s, static_cast<int>(s), 0});
@@ -121,13 +122,11 @@ TEST(CalendarQueue, RepushWithOriginalSeqKeepsPlaceInOrder) {
   }
 }
 
-TEST(CalendarQueue, FarFuturePostsPopInOrder) {
-  // Horizon spread wide enough that the calendar cannot cover it: the
-  // overflow tier and window slides must preserve the total order.
+TEST(EventQueue, FarFuturePostsPopInOrder) {
+  // Horizons eleven orders of magnitude apart must still pop in time
+  // order.
   Engine engine;
   std::vector<int> order;
-  // First post anchors the bucket window near t=0; each later one lands
-  // ever deeper in the overflow tier.
   engine.post(1e-9, [&order] { order.push_back(-1); });
   for (int i = 0; i < 10; ++i) {
     engine.post(static_cast<double>(i + 1) * 1e5,
@@ -139,7 +138,6 @@ TEST(CalendarQueue, FarFuturePostsPopInOrder) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[static_cast<std::size_t>(i) + 1], i);
   }
-  EXPECT_GT(engine.stats().queue_overflow_pushes, 0u);
 }
 
 // Golden values captured from the pre-calendar-queue engine (binary-heap

@@ -96,8 +96,10 @@ JsonValue fold_bench(const JsonValue& doc) {
   return entry;
 }
 
-/// Gated keys: deterministic metrics only (virtual time, and the number of
-/// events a run executes, which is fixed by its schedule). `higher_better`
+/// Gated keys: deterministic metrics only (virtual time; the number of
+/// events a run executes and its peak event-queue depth, both fixed by its
+/// schedule; the model checker's distinct schedules and invariant checks,
+/// fixed by its budget). `higher_better`
 /// says which direction is an improvement. Host-wall keys (events_per_s,
 /// wall_s, schedules_per_s, host_elapsed_s, peak_rss_mib, speedup_vs_seed)
 /// are not listed: they depend on the machine running the bench, so gating
@@ -108,9 +110,11 @@ struct GatedKey {
 };
 
 constexpr GatedKey kGatedKeys[] = {
-    {"bandwidth_mib_s", true},  {"elapsed_s", false},
-    {"durable_elapsed_s", false}, {"rpc_p99_s", false},
-    {"cycle_p99_s", false},     {"events", false},
+    {"bandwidth_mib_s", true},     {"elapsed_s", false},
+    {"durable_elapsed_s", false},  {"rpc_p99_s", false},
+    {"cycle_p99_s", false},        {"events", false},
+    {"distinct_schedules", true},  {"invariant_checks", true},
+    {"peak_queue_depth", false},
 };
 
 const JsonValue* find_bench(const JsonValue& run, const std::string& name) {
